@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from typing import TYPE_CHECKING
@@ -90,10 +91,15 @@ class _QueryState:
         self.record_tag = str(tag)
         self.query = query
         self.normalized = query.normalize()
+        key = query_order_key(self.normalized)
+        #: the query's sort key over result documents, built once
+        self.sort_key: Callable[[Document], Any] = lambda doc: key((doc.path, doc.data))
         self.on_snapshot = on_snapshot
         self.subscription: Optional[Subscription] = None
-        #: current result contents: path -> (data, update_ts, create_ts)
-        self.result: dict[Path, tuple[dict, int, int]] = {}
+        #: current result contents by path
+        self.result: dict[Path, Document] = {}
+        #: the current result in query order, kept between pumps
+        self.documents: tuple[Document, ...] = ()
         self.max_commit_version = 0
         self.pending: list[tuple[int, DocumentChange]] = []
         self.range_watermarks: dict[int, int] = {}
@@ -270,12 +276,9 @@ class Frontend:
 
     def _start_query(self, state: _QueryState, is_initial: bool) -> None:
         """Steps 2-4: initial snapshot via the Backend, then Subscribe."""
-        previous = dict(state.result)
+        previous = state.result
         result = self.backend.run_query(state.query)
-        state.result = {
-            doc.path: (doc.data, doc.update_time, doc.create_time)
-            for doc in result.documents
-        }
+        state.result = {doc.path: doc for doc in result.documents}
         state.max_commit_version = result.read_ts
         state.pending.clear()
         state.needs_reset = False
@@ -331,75 +334,86 @@ class Frontend:
     # -- applying buffered changes --------------------------------------------------------
 
     def _apply_pending(self, state: _QueryState, target_ts: int) -> Optional[SnapshotDelta]:
-        """Apply buffered changes with commit_ts <= target, build a delta."""
-        ready = sorted(
-            (item for item in state.pending if item[0] <= target_ts),
-            key=lambda item: item[0],
-        )
+        """Apply buffered changes with commit_ts <= target, build a delta.
+
+        A query with no change ready only advances its version. In a full
+        limited window, an entrant that sorts after the last member is
+        dropped without touching the view; a member that leaves or sorts
+        past that last member re-runs the query, since the document that
+        replaces it is outside the view. Only a changed result is
+        re-sorted and diffed.
+        """
+        ready = [item for item in state.pending if item[0] <= target_ts]
+        if not ready:
+            state.max_commit_version = target_ts
+            return None
+        ready.sort(key=itemgetter(0))
         state.pending = [item for item in state.pending if item[0] > target_ts]
-        previous = dict(state.result)
+        result = state.result
         limit = state.normalized.query.limit
-        at_capacity = limit is not None and len(state.result) >= limit
+        full = limit is not None and len(result) >= limit
+        edge = state.sort_key(state.documents[-1]) if full and state.documents else None
+        previous = None
 
         for commit_ts, change in ready:
-            matches_now = document_matches_query(
-                state.normalized, change.path, change.new_data
-            )
-            if matches_now:
-                create_ts = self._create_ts(state, change, commit_ts)
-                state.result[change.path] = (change.new_data, commit_ts, create_ts)
-            elif change.path in state.result:
-                del state.result[change.path]
-                if limit is not None and at_capacity:
-                    # a member left a full limited result set: the next
-                    # entrant is outside our view; re-run the query
-                    state.needs_reset = True
-                    self._reset_query(state)
-                    return None
+            path = change.path
+            old = result.get(path)
+            doc = None
+            if document_matches_query(state.normalized, path, change.new_data):
+                create_ts = commit_ts if change.is_create or old is None else old.create_time
+                doc = Document(path, change.new_data, create_ts, commit_ts)
+                if edge is not None and state.sort_key(doc) > edge:
+                    if old is None:
+                        continue
+                    return self._reset_from(state, previous)
+            elif old is None:
+                continue
+            elif full:
+                return self._reset_from(state, previous)
+            if previous is None:
+                previous = dict(result)
+            if doc is None:
+                del result[path]
+            else:
+                result[path] = doc
 
-        if limit is not None:
-            self._trim_to_limit(state, limit)
         state.max_commit_version = target_ts
+        if previous is None:
+            return None
         return self._diff_snapshots(state, previous, target_ts, is_initial=False)
 
-    def _create_ts(self, state: _QueryState, change: DocumentChange, commit_ts: int) -> int:
-        if change.is_create:
-            return commit_ts
-        existing = state.result.get(change.path)
-        return existing[2] if existing is not None else commit_ts
-
-    def _trim_to_limit(self, state: _QueryState, limit: int) -> None:
-        if len(state.result) <= limit:
-            return
-        key = query_order_key(state.normalized)
-        ordered = sorted(
-            ((path, data) for path, (data, _, _) in state.result.items()), key=key
-        )
-        for path, _ in ordered[limit:]:
-            del state.result[path]
+    def _reset_from(
+        self, state: _QueryState, previous: Optional[dict[Path, Document]]
+    ) -> None:
+        """Drop this pump's partial changes and re-run the query, so its
+        snapshot is diffed against what the listener last received."""
+        if previous is not None:
+            state.result = previous
+        self._reset_query(state)
 
     def _diff_snapshots(
         self,
         state: _QueryState,
-        previous: dict[Path, tuple[dict, int, int]],
+        previous: dict[Path, Document],
         read_ts: int,
         is_initial: bool,
     ) -> SnapshotDelta:
-        key = query_order_key(state.normalized)
-        ordered = sorted(
-            ((path, data) for path, (data, _, _) in state.result.items()), key=key
-        )
-        documents = tuple(
-            Document(path, data, state.result[path][2], state.result[path][1])
-            for path, data in ordered
-        )
+        """Re-sort the result, trim it to the limit, diff it against
+        ``previous``."""
+        ordered = sorted(state.result.values(), key=state.sort_key)
+        limit = state.normalized.query.limit
+        if limit is not None and len(ordered) > limit:
+            for doc in ordered[limit:]:
+                del state.result[doc.path]
+            del ordered[limit:]
+        documents = state.documents = tuple(ordered)
         added = []
         modified = []
         for doc in documents:
             old = previous.get(doc.path)
             if old is None:
                 added.append(doc)
-            elif old[0] != doc.data:
+            elif old.data != doc.data:
                 modified.append(doc)
         removed = tuple(path for path in previous if path not in state.result)
         return SnapshotDelta(

@@ -33,10 +33,15 @@ def document_matches_query(
     order-by field (documents missing an ordered field are absent from
     the index the query scans).
     """
+    return path.parent() == normalized.query.parent and _data_matches_query(
+        normalized, data
+    )
+
+
+def _data_matches_query(normalized: NormalizedQuery, data: Optional[dict]) -> bool:
+    """The filter and order-field half of :func:`document_matches_query`,
+    for a caller that has already checked the collection."""
     if data is None:
-        return False
-    parent = path.parent()
-    if parent is None or parent != normalized.query.parent:
         return False
     for flt in normalized.query.filters:
         if not matches_filter(data, flt):
@@ -132,18 +137,20 @@ class QueryMatcher:
         with self.tracer.span(
             "matcher.match", component="realtime", attributes=attrs
         ) as span:
-            for subscription in list(
-                self._by_range.get(name_range.range_id, {}).values()
-            ):
+            subscriptions = list(self._by_range.get(name_range.range_id, {}).values())
+            # one path for every subscription: find its collection once,
+            # and only when someone listens on the range
+            parent = change.path.parent() if subscriptions else None
+            for subscription in subscriptions:
                 examined += 1
                 if change.commit_ts <= subscription.resume_ts:
                     continue
-                relevant = document_matches_query(
-                    subscription.normalized, change.path, change.old_data
-                ) or document_matches_query(
-                    subscription.normalized, change.path, change.new_data
-                )
-                if relevant:
+                normalized = subscription.normalized
+                if parent != normalized.query.parent:
+                    continue
+                if _data_matches_query(
+                    normalized, change.old_data
+                ) or _data_matches_query(normalized, change.new_data):
                     forwarded += 1
                     subscription.deliver(subscription.subscription_id, change)
             span.set_attribute("examined", examined)

@@ -119,6 +119,34 @@ class TestLimitsAndUnlisten:
         assert [d.data["pts"] for d in last.documents] == [30, 20]
         assert [p.id for p in last.removed] == ["s0"]
 
+    def test_limit_query_member_moving_past_edge_requeries(self, db):
+        """A member of a full window whose order value moves past the
+        window's last member is replaced by the next document outside
+        the view, not kept at its new position."""
+        for i, pts in enumerate([10, 20, 30]):
+            db.commit([set_op(f"scores/s{i}", {"pts": pts})])
+        query = db.query("scores").order_by("pts", "desc").limit_to(2)
+        snaps = []
+        db.connect().listen(query, snaps.append)
+        assert [d.data["pts"] for d in snaps[-1].documents] == [30, 20]
+        db.commit([update_op("scores/s1", {"pts": 5})])
+        pump(db, times=2)
+        assert [d.data["pts"] for d in snaps[-1].documents] == [30, 10]
+        assert list(snaps[-1].documents) == db.run_query(query).documents
+
+    def test_limit_query_entrant_past_edge_is_not_delivered(self, db):
+        for i, pts in enumerate([10, 20, 30]):
+            db.commit([set_op(f"scores/s{i}", {"pts": pts})])
+        snaps = []
+        db.connect().listen(
+            db.query("scores").order_by("pts", "desc").limit_to(2), snaps.append
+        )
+        db.commit([update_op("scores/s0", {"pts": 15})])
+        db.commit([set_op("scores/low", {"pts": 1})])
+        pump(db, times=2)
+        assert len(snaps) == 1
+        assert db.frontend.resets == 0
+
     def test_limit_query_removal_triggers_requery(self, db):
         for i, pts in enumerate([10, 20, 30]):
             db.commit([set_op(f"scores/s{i}", {"pts": pts})])
