@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import Aborted
-from repro.core.encoding import decode_doc_name
+from repro.core.encoding import decode_doc_name, encode_doc_name
 from repro.core.index_entries import (
     composite_entry_values,
     entry_key,
@@ -64,10 +64,12 @@ class IndexBackfillService:
             stats.documents_scanned += 1
             parent = path.parent()
             assert parent is not None
+            encoded_parent = encode_doc_name(parent.segments)
+            encoded_name = encode_doc_name(path.segments, name_direction)
             for encoded in composite_entry_values(definition, data):
                 batch.append(
                     (
-                        entry_key(index_id, parent, encoded, path, name_direction),
+                        entry_key(index_id, encoded_parent, encoded, encoded_name),
                         path.segments,
                     )
                 )

@@ -55,6 +55,9 @@ _LOW_SENTINEL = b"\x00\x00"  # end of a reference/map (sorts below all content)
 ASCENDING = "asc"
 DESCENDING = "desc"
 
+# bytes.translate table mapping every byte to its complement (descending)
+_COMPLEMENT = bytes(range(255, -1, -1))
+
 
 def _encode_escaped(raw: bytes, out: bytearray) -> None:
     """Append ``raw`` with 0x00 escaped, then the terminator."""
@@ -159,7 +162,7 @@ def encode_value(value: Any, direction: str = ASCENDING) -> bytes:
     out = bytearray()
     _encode_into(value, out)
     if direction == DESCENDING:
-        return bytes(byte ^ 0xFF for byte in out)
+        return bytes(out).translate(_COMPLEMENT)
     if direction != ASCENDING:
         raise InvalidArgument(f"unknown direction: {direction!r}")
     return bytes(out)
@@ -185,7 +188,7 @@ def encode_doc_name(segments: Sequence[str], direction: str = ASCENDING) -> byte
     out = bytearray()
     _encode_segments(segments, out)
     if direction == DESCENDING:
-        return bytes(byte ^ 0xFF for byte in out)
+        return bytes(out).translate(_COMPLEMENT)
     return bytes(out)
 
 

@@ -60,23 +60,19 @@ def index_id_prefix(index_id: int) -> bytes:
 
 def entry_key(
     index_id: int,
-    parent: Path,
+    encoded_parent: bytes,
     encoded_values: bytes,
-    doc_path: Path,
-    name_direction: str = ASCENDING,
+    encoded_name: bytes,
 ) -> bytes:
-    """Build one IndexEntries row key.
+    """Build one IndexEntries row key from its encoded parts.
 
-    The trailing document name is encoded with the direction of the
-    index's *last* field, so the index's natural tiebreak matches the
-    query semantics (orderBy(f, desc) implies name desc).
+    ``encoded_parent`` and ``encoded_name`` are :func:`encode_doc_name`
+    of the parent collection (ascending) and of the document. The
+    trailing document name is encoded with the direction of the index's
+    *last* field, so the index's natural tiebreak matches the query
+    semantics (orderBy(f, desc) implies name desc).
     """
-    return (
-        index_id_prefix(index_id)
-        + encode_doc_name(parent.segments)
-        + encoded_values
-        + encode_doc_name(doc_path.segments, name_direction)
-    )
+    return index_id_prefix(index_id) + encoded_parent + encoded_values + encoded_name
 
 
 def scan_prefix(index_id: int, parent: Path, encoded_values: bytes = b"") -> bytes:
@@ -112,9 +108,12 @@ def compute_document_entries(
     collection_group = parent.id
     entries: dict[bytes, tuple[str, ...]] = {}
     segments = doc_path.segments
+    encoded_parent = encode_doc_name(parent.segments)
+    name_asc = encode_doc_name(segments, ASCENDING)
+    name_desc = encode_doc_name(segments, DESCENDING)
 
-    def add(index_id: int, encoded_values: bytes, name_direction: str) -> None:
-        key = entry_key(index_id, parent, encoded_values, doc_path, name_direction)
+    def add(index_id: int, encoded_values: bytes, encoded_name: bytes) -> None:
+        key = entry_key(index_id, encoded_parent, encoded_values, encoded_name)
         entries[key] = segments
         if len(entries) > MAX_ENTRIES_PER_DOCUMENT:
             raise InvalidArgument(
@@ -128,21 +127,21 @@ def compute_document_entries(
         if registry.is_exempt(collection_group, leaf_path):
             continue
         asc = registry.auto_index(collection_group, leaf_path, ASCENDING)
-        add(asc.index_id, encode_value(value, ASCENDING), ASCENDING)
+        add(asc.index_id, encode_value(value, ASCENDING), name_asc)
         desc = registry.auto_index(collection_group, leaf_path, DESCENDING)
-        add(desc.index_id, encode_value(value, DESCENDING), DESCENDING)
+        add(desc.index_id, encode_value(value, DESCENDING), name_desc)
         if isinstance(value, list):
             contains = registry.auto_contains_index(collection_group, leaf_path)
             for element in _distinct_in_order(value):
-                add(contains.index_id, encode_value(element, ASCENDING), ASCENDING)
+                add(contains.index_id, encode_value(element, ASCENDING), name_asc)
 
     # Composite indexes.
     for definition in registry.composites_for(collection_group):
         if definition.state is IndexState.DELETING:
             continue
-        name_direction = definition.fields[-1].direction
+        name = name_desc if definition.fields[-1].direction == DESCENDING else name_asc
         for encoded in composite_entry_values(definition, data):
-            add(definition.index_id, encoded, name_direction)
+            add(definition.index_id, encoded, name)
 
     return entries
 

@@ -6,9 +6,9 @@ IV-D1: "the serializability guarantee on timestamps allows Firestore to
 perform lock-free consistent (timestamp-based) reads across a database
 without blocking writes").
 
-A :class:`VersionChain` is the version history of one row: a list of
-``(commit_ts, value)`` pairs in descending timestamp order, where a value
-of :data:`TOMBSTONE` marks a deletion. Old versions are garbage-collected
+A :class:`VersionChain` is the version history of one row: its
+``(commit_ts, value)`` pairs in timestamp order, where a value of
+:data:`TOMBSTONE` marks a deletion. Old versions are garbage-collected
 past a configurable horizon.
 """
 
@@ -30,17 +30,29 @@ TOMBSTONE = _Tombstone()
 
 
 class VersionChain:
-    """The timestamped version history of a single row."""
+    """The timestamped version history of a single row.
+
+    Most rows only ever hold one version, so that version lives inline:
+    ``_ts`` is its int commit timestamp and ``_values`` the value itself.
+    A second write moves the history into two ascending lists, and
+    :meth:`gc` moves it back inline once one version survives. An empty
+    chain holds None in both slots. The inline form keeps a stored row at
+    one object the cyclic garbage collector tracks, instead of three.
+    """
 
     __slots__ = ("_ts", "_values")
 
     def __init__(self) -> None:
-        # ascending commit timestamps; _values[i] pairs with _ts[i]
-        self._ts: list[int] = []
-        self._values: list[Any] = []
+        # None (empty), an int (one version inline), or a list of >= 2
+        # ascending commit timestamps where _values[i] pairs with _ts[i]
+        self._ts: Any = None
+        self._values: Any = None
 
     def __len__(self) -> int:
-        return len(self._ts)
+        ts = self._ts
+        if type(ts) is list:
+            return len(ts)
+        return 0 if ts is None else 1
 
     def write(self, commit_ts: int, value: Any) -> None:
         """Record ``value`` at ``commit_ts``.
@@ -49,12 +61,20 @@ class VersionChain:
         order of commits); an equal or older timestamp is an invariant
         violation.
         """
-        if self._ts and commit_ts <= self._ts[-1]:
-            raise ValueError(
-                f"non-monotonic MVCC write: {commit_ts} <= {self._ts[-1]}"
-            )
-        self._ts.append(commit_ts)
-        self._values.append(value)
+        ts = self._ts
+        if ts is None:
+            self._ts = commit_ts
+            self._values = value
+            return
+        last = ts[-1] if type(ts) is list else ts
+        if commit_ts <= last:
+            raise ValueError(f"non-monotonic MVCC write: {commit_ts} <= {last}")
+        if type(ts) is list:
+            ts.append(commit_ts)
+            self._values.append(value)
+        else:
+            self._ts = [ts, commit_ts]
+            self._values = [self._values, value]
 
     def read_at(self, read_ts: int) -> Any:
         """Newest value with commit_ts <= read_ts, or TOMBSTONE if none.
@@ -62,28 +82,42 @@ class VersionChain:
         A row that has never been written reads as deleted, which lets the
         caller treat missing rows and deleted rows uniformly.
         """
-        idx = bisect.bisect_right(self._ts, read_ts) - 1
-        if idx < 0:
+        ts = self._ts
+        if type(ts) is list:
+            idx = bisect.bisect_right(ts, read_ts) - 1
+            return self._values[idx] if idx >= 0 else TOMBSTONE
+        if ts is None or ts > read_ts:
             return TOMBSTONE
-        return self._values[idx]
+        return self._values
 
     def read_versioned_at(self, read_ts: int) -> tuple[int, Any] | None:
         """Newest (commit_ts, value) with commit_ts <= read_ts, or None."""
-        idx = bisect.bisect_right(self._ts, read_ts) - 1
-        if idx < 0:
+        ts = self._ts
+        if type(ts) is list:
+            idx = bisect.bisect_right(ts, read_ts) - 1
+            return (ts[idx], self._values[idx]) if idx >= 0 else None
+        if ts is None or ts > read_ts:
             return None
-        return (self._ts[idx], self._values[idx])
+        return (ts, self._values)
 
     def latest(self) -> tuple[int, Any]:
         """The newest (commit_ts, value) pair."""
-        if not self._ts:
+        ts = self._ts
+        if type(ts) is list:
+            return (ts[-1], self._values[-1])
+        if ts is None:
             return (0, TOMBSTONE)
-        return (self._ts[-1], self._values[-1])
+        return (ts, self._values)
 
     def versions(self) -> Iterator[tuple[int, Any]]:
         """All versions, newest first."""
-        for i in range(len(self._ts) - 1, -1, -1):
-            yield self._ts[i], self._values[i]
+        ts = self._ts
+        if type(ts) is list:
+            values = self._values
+            for i in range(len(ts) - 1, -1, -1):
+                yield ts[i], values[i]
+        elif ts is not None:
+            yield ts, self._values
 
     def gc(self, horizon_ts: int) -> int:
         """Drop versions superseded before ``horizon_ts``.
@@ -93,25 +127,31 @@ class VersionChain:
         number of versions dropped. A chain whose only surviving version
         is a tombstone older than the horizon empties completely.
         """
-        keep_from = bisect.bisect_right(self._ts, horizon_ts) - 1
+        ts = self._ts
+        if type(ts) is not list:
+            if ts is None or ts > horizon_ts or self._values is not TOMBSTONE:
+                return 0
+            self._ts = self._values = None
+            return 1
+        keep_from = bisect.bisect_right(ts, horizon_ts) - 1
         if keep_from <= 0:
             return 0
-        dropped = keep_from
-        self._ts = self._ts[keep_from:]
-        self._values = self._values[keep_from:]
-        if (
-            len(self._ts) == 1
-            and self._values[0] is TOMBSTONE
-            and self._ts[0] <= horizon_ts
-        ):
-            dropped += 1
-            self._ts.clear()
-            self._values.clear()
-        return dropped
+        if keep_from < len(ts) - 1:
+            self._ts = ts[keep_from:]
+            self._values = self._values[keep_from:]
+            return keep_from
+        # one version survives, at or before the horizon
+        value = self._values[-1]
+        if value is TOMBSTONE:
+            self._ts = self._values = None
+            return keep_from + 1
+        self._ts = ts[-1]
+        self._values = value
+        return keep_from
 
     def is_empty(self) -> bool:
         """True when no versions remain."""
-        return not self._ts
+        return self._ts is None
 
 
 def is_deleted(value: Any) -> bool:

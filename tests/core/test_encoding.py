@@ -195,3 +195,20 @@ def test_property_doc_name_roundtrip_and_order(segments):
     decoded, end = decode_doc_name(encoded)
     assert decoded == tuple(segments)
     assert end == len(encoded)
+
+
+def _complement(encoded: bytes) -> bytes:
+    return bytes(byte ^ 0xFF for byte in encoded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=firestore_values())
+def test_property_descending_value_is_bytewise_complement(value):
+    assert encode_value(value, DESCENDING) == _complement(encode_value(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=st.lists(st.text(max_size=6), min_size=1, max_size=4))
+def test_property_descending_doc_name_is_bytewise_complement(segments):
+    ascending = encode_doc_name(tuple(segments))
+    assert encode_doc_name(tuple(segments), DESCENDING) == _complement(ascending)

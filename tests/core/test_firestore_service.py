@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AlreadyExists, InvalidArgument, NotFound
-from repro.core.backend import set_op
+from repro.core.backend import delete_op, set_op
 from repro.core.firestore import SPANNER_DATABASES_PER_REGION, FirestoreService
 
 
@@ -99,6 +99,18 @@ def test_run_maintenance_splits_hot_tablets(service):
     assert len(spanner.tablets) > before
     # data remains intact across the split
     assert db.document_count() == 200
+
+
+def test_run_maintenance_collects_deletes_of_never_written_documents(service):
+    db = service.create_database("ghosts")
+    spanner = db.layout.spanner
+    for i in range(100):
+        db.commit([delete_op(f"c/never{i}")])
+    rows = spanner.total_rows()  # one tombstone per delete, plus metadata
+    assert rows >= 100
+    service.clock.advance_seconds(2 * 3600)
+    service.run_maintenance()
+    assert spanner.total_rows() == rows - 100
 
 
 def test_regional_vs_multiregional_latency_models():

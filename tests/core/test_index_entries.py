@@ -1,17 +1,22 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidArgument
-from repro.core.encoding import ASCENDING, DESCENDING
+from repro.core.encoding import ASCENDING, DESCENDING, encode_doc_name, encode_value
 from repro.core.index_entries import (
     compute_document_entries,
     composite_entry_values,
     diff_entries,
     entry_key,
     index_id_prefix,
+    iter_indexable_fields,
     scan_prefix,
 )
 from repro.core.indexes import IndexField, IndexMode, IndexRegistry, IndexState
 from repro.core.path import Path
+
+from tests.core.test_values import firestore_values
 
 
 @pytest.fixture
@@ -129,7 +134,9 @@ class TestCompositeEntries:
 class TestKeysAndDiff:
     def test_entry_key_layout(self):
         parent = Path.parse("restaurants")
-        key = entry_key(7, parent, b"VALUES", DOC)
+        key = entry_key(
+            7, encode_doc_name(parent.segments), b"VALUES", encode_doc_name(DOC.segments)
+        )
         assert key.startswith(index_id_prefix(7))
         assert b"VALUES" in key
         assert key.startswith(scan_prefix(7, parent))
@@ -155,3 +162,65 @@ class TestKeysAndDiff:
         data = {"tags": [f"t{i}" for i in range(45_000)]}
         with pytest.raises(InvalidArgument):
             compute_document_entries(registry, DOC, data)
+
+
+def _reference_entries(registry, doc_path, data):
+    """Each entry's key built on its own, one entry at a time."""
+    parent = doc_path.parent()
+    group = parent.id
+
+    def key(index_id, encoded_values, name_direction):
+        return (
+            index_id_prefix(index_id)
+            + encode_doc_name(parent.segments)
+            + encoded_values
+            + encode_doc_name(doc_path.segments, name_direction)
+        )
+
+    keys = set()
+    for leaf_path, value in iter_indexable_fields(data):
+        for direction in (ASCENDING, DESCENDING):
+            index = registry.auto_index(group, leaf_path, direction)
+            keys.add(key(index.index_id, encode_value(value, direction), direction))
+        if isinstance(value, list):
+            index = registry.auto_contains_index(group, leaf_path)
+            for element in value:
+                keys.add(key(index.index_id, encode_value(element), ASCENDING))
+    for definition in registry.composites_for(group):
+        for encoded in composite_entry_values(definition, data):
+            keys.add(key(definition.index_id, encoded, definition.fields[-1].direction))
+    return keys
+
+
+_composite_registry = IndexRegistry()
+_composite_registry.create_composite(
+    "restaurants",
+    [IndexField("city", ASCENDING), IndexField("r", DESCENDING)],
+    state=IndexState.READY,
+)
+_composite_registry.create_composite(
+    "restaurants",
+    [IndexField("tags", ASCENDING, IndexMode.CONTAINS), IndexField("city", ASCENDING)],
+    state=IndexState.READY,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    doc_id=st.text(min_size=1, max_size=6).filter(
+        lambda s: "/" not in s and s not in (".", "..")
+    ),
+    data=st.fixed_dictionaries(
+        {"city": st.text(max_size=4)},
+        optional={
+            "r": firestore_values(),
+            "tags": st.lists(firestore_values(depth=2), max_size=3),
+            "extra": firestore_values(),
+        },
+    ),
+)
+def test_property_entry_keys_match_per_entry_reference(doc_id, data):
+    doc_path = Path("restaurants", doc_id)
+    entries = compute_document_entries(_composite_registry, doc_path, data)
+    assert set(entries) == _reference_entries(_composite_registry, doc_path, data)
+    assert set(entries.values()) == {doc_path.segments}

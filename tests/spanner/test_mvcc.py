@@ -1,6 +1,12 @@
+import bisect
+import gc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.spanner.mvcc import TOMBSTONE, VersionChain, is_deleted
+from repro.spanner.tablet import Tablet
 
 
 def test_empty_chain_reads_as_deleted():
@@ -83,6 +89,19 @@ def test_gc_drops_lone_old_tombstone():
     assert chain.is_empty()
 
 
+def test_gc_drops_never_written_tombstone():
+    # a delete of a row that never existed leaves a chain holding only a
+    # tombstone; once the horizon passes it, the chain empties
+    chain = VersionChain()
+    chain.write(10, TOMBSTONE)
+    assert chain.gc(horizon_ts=5) == 0
+    assert len(chain) == 1
+    assert chain.gc(horizon_ts=10) == 1
+    assert chain.is_empty()
+    assert chain.read_at(100) is TOMBSTONE
+    assert chain.latest() == (0, TOMBSTONE)
+
+
 def test_gc_keeps_recent_tombstone():
     chain = VersionChain()
     chain.write(10, "a")
@@ -96,3 +115,87 @@ def test_len_counts_versions():
     chain.write(1, "a")
     chain.write(2, "b")
     assert len(chain) == 2
+
+
+def test_single_version_rows_cost_one_tracked_object():
+    tablet = Tablet(b"", None)
+    for i in range(1000):
+        tablet.chain(b"k%06d" % i, create=True).write(i + 1, b"v%d" % i)
+    tracked = 0
+    rows = 0
+    for chain in tablet.rows.values():
+        rows += 1
+        # the chain and what its slots hold; the stored bytes are untracked
+        slots = [getattr(chain, name) for name in VersionChain.__slots__]
+        tracked += sum(gc.is_tracked(obj) for obj in (chain, *slots))
+    assert rows == 1000
+    assert tracked / rows <= 1.1
+
+
+class _ReferenceChain:
+    """The spec of a version chain: a plain ascending list of pairs."""
+
+    def __init__(self):
+        self.pairs: list[tuple[int, object]] = []
+
+    def write(self, ts, value):
+        self.pairs.append((ts, value))
+
+    def read_versioned_at(self, read_ts):
+        idx = bisect.bisect_right([ts for ts, _ in self.pairs], read_ts) - 1
+        return self.pairs[idx] if idx >= 0 else None
+
+    def read_at(self, read_ts):
+        found = self.read_versioned_at(read_ts)
+        return TOMBSTONE if found is None else found[1]
+
+    def latest(self):
+        return self.pairs[-1] if self.pairs else (0, TOMBSTONE)
+
+    def gc(self, horizon_ts):
+        older = [p for p in self.pairs if p[0] <= horizon_ts]
+        if not older:
+            return 0
+        kept = self.pairs[len(older) - 1:]
+        if len(kept) == 1 and kept[0][1] is TOMBSTONE:
+            kept = []
+        dropped = len(self.pairs) - len(kept)
+        self.pairs = kept
+        return dropped
+
+
+_values = st.one_of(st.just(TOMBSTONE), st.integers(0, 3), st.lists(st.integers(0, 3)))
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(1, 5), _values),
+        st.tuples(st.just("gc"), st.integers(-5, 30)),
+        st.tuples(st.just("read"), st.integers(-5, 30)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=_steps)
+def test_property_chain_matches_reference(steps):
+    chain, ref = VersionChain(), _ReferenceChain()
+    now = 0
+    for step in steps:
+        if step[0] == "write":
+            now += step[1]
+            chain.write(now, step[2])
+            ref.write(now, step[2])
+        elif step[0] == "gc":
+            horizon = now + step[1] - 25
+            assert chain.gc(horizon) == ref.gc(horizon)
+        else:
+            read_ts = now + step[1] - 25
+            assert chain.read_at(read_ts) == ref.read_at(read_ts)
+            assert chain.read_versioned_at(read_ts) == ref.read_versioned_at(read_ts)
+        assert chain.latest() == ref.latest()
+        assert list(chain.versions()) == ref.pairs[::-1]
+        assert len(chain) == len(ref.pairs)
+        assert chain.is_empty() == (not ref.pairs)
+        if ref.pairs:
+            with pytest.raises(ValueError):
+                chain.write(ref.pairs[-1][0], "stale")
