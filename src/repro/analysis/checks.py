@@ -568,276 +568,175 @@ def check_error_boundary(module: ParsedModule) -> list[Diagnostic]:
     return out
 
 
-# -- history-recorder coverage ------------------------------------------------
+# -- instrumentation-tap coverage ---------------------------------------------
 
-#: The hot-path methods that must feed the repro.check history recorder.
-#: A future refactor that rewrites one of these without re-plumbing the
-#: tap would silently blind the consistency checker — this check makes
-#: the omission a lint failure instead. Keys are module rel-paths, values
-#: are ``Class.method`` names that must reference ``recorder``.
-REQUIRED_HISTORY_TAPS: dict[str, frozenset[str]] = {
-    "spanner/transaction.py": frozenset(
-        {
-            "ReadWriteTransaction.__init__",
-            "ReadWriteTransaction.read_versioned",
-            "ReadWriteTransaction.scan",
-            "ReadWriteTransaction._inject_commit_faults",
-            "ReadWriteTransaction._apply",
-            "ReadWriteTransaction._abort",
-        }
+#: The hot paths that must keep their instrumentation taps, so a refactor
+#: that drops one is a lint failure instead of a consumer silently blinded
+#: far from the diff. Module rel-path -> ``Class.method`` or module-level
+#: function name -> the tap kinds required there (``history``, ``perf``,
+#: ``wait``; ``_TAP_KINDS`` says what each must reference and what
+#: breaks without it).
+REQUIRED_TAPS: dict[str, dict[str, frozenset[str]]] = {
+    "spanner/transaction.py": {
+        "_lock_abort": frozenset({"wait"}),
+        "ReadWriteTransaction.__init__": frozenset({"history"}),
+        "ReadWriteTransaction.read_versioned": frozenset({"history", "wait"}),
+        "ReadWriteTransaction.scan": frozenset({"history"}),
+        "ReadWriteTransaction.commit": frozenset({"perf", "wait"}),
+        "ReadWriteTransaction._inject_commit_faults": frozenset({"history"}),
+        "ReadWriteTransaction._apply": frozenset({"history"}),
+        "ReadWriteTransaction._abort": frozenset({"history"}),
+    },
+    "spanner/database.py": {
+        "SpannerDatabase.snapshot_read_versioned": frozenset({"history"}),
+    },
+    "core/backend.py": {
+        "Backend.commit": frozenset({"history", "perf"}),
+        "Backend.run_query": frozenset({"history"}),
+    },
+    "core/transaction.py": {"run_transaction": frozenset({"wait"})},
+    "realtime/changelog.py": {
+        "Changelog.accept": frozenset({"history", "perf"}),
+        "Changelog._advance": frozenset({"history", "perf"}),
+        "Changelog._mark_out_of_sync": frozenset({"history"}),
+        "Changelog.resync": frozenset({"history"}),
+    },
+    "realtime/frontend.py": {
+        "Frontend._start_query": frozenset({"history"}),
+        "RealtimeConnection._pump": frozenset({"history"}),
+    },
+    "replication/group.py": {
+        "ReplicaGroup.precommit": frozenset({"wait"}),
+        "ReplicaGroup.commit": frozenset({"history", "perf", "wait"}),
+        "ReplicaGroup.elect": frozenset({"history", "wait"}),
+        "ReplicaGroup.route_read": frozenset({"history"}),
+        "ReplicaGroup._apply_arrived": frozenset({"history"}),
+    },
+    "client/client.py": {"MobileClient.flush": frozenset({"perf"})},
+    "faults/retry.py": {"call_with_retry": frozenset({"wait"})},
+    "service/pool.py": {
+        "TaskPool._dispatch": frozenset({"perf"}),
+        "TaskPool._make_completion": frozenset({"wait"}),
+    },
+    "service/scheduler.py": {
+        "FairShareScheduler._record_dispatch": frozenset({"perf", "wait"}),
+    },
+    "service/overload.py": {
+        "OverloadState.account_hedge": frozenset({"perf"}),
+        "OverloadState.record_hedge_wait": frozenset({"wait"}),
+    },
+    "service/cluster.py": {"ServingCluster.submit": frozenset({"wait"})},
+}
+
+
+def _references(fn: ast.AST, names: tuple[str, ...]) -> bool:
+    return any(
+        (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        for node in ast.walk(fn)
+    )
+
+
+def _has_perf_tap(fn: ast.AST) -> bool:
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Attribute) and node.func.attr in (
+            "account",
+            "measure",
+        ):
+            return True
+        if any(kw.arg == "perf" for kw in node.keywords):
+            return True
+    return False
+
+
+#: tap kind -> (diagnostic id, predicate, what the site must do, and
+#: what breaks without it)
+_TAP_KINDS = {
+    "history": (
+        "history-tap",
+        lambda fn: _references(fn, ("recorder",)),
+        "must feed the repro.check history recorder (guard with 'if "
+        "recorder is not None'); without the tap the consistency checker "
+        "is blind to this path",
     ),
-    "spanner/database.py": frozenset(
-        {"SpannerDatabase.snapshot_read_versioned"}
+    "perf": (
+        "perf-attribution",
+        _has_perf_tap,
+        "must carry a repro.obs profiler tag (probe.account(...), "
+        "probe.measure(...) or a perf= tag on its span or wait); without "
+        "it the profiler's busy-time coverage guarantee is broken for "
+        "this path",
     ),
-    "core/backend.py": frozenset({"Backend.commit", "Backend.run_query"}),
-    "realtime/changelog.py": frozenset(
-        {
-            "Changelog.accept",
-            "Changelog._advance",
-            "Changelog._mark_out_of_sync",
-            "Changelog.resync",
-        }
-    ),
-    "realtime/frontend.py": frozenset(
-        {"Frontend._start_query", "RealtimeConnection._pump"}
-    ),
-    "replication/group.py": frozenset(
-        {
-            "ReplicaGroup.commit",
-            "ReplicaGroup.elect",
-            "ReplicaGroup.route_read",
-            "ReplicaGroup._apply_arrived",
-        }
+    "wait": (
+        "wait-tap",
+        lambda fn: _references(fn, ("wait", "record_wait", "wait_cause")),
+        "must annotate its blocking interval with a structured wait cause "
+        "(span.wait(...) / probe.wait(...) / an error's wait_cause hint); "
+        "without the tap repro.obs.critpath reports this time as "
+        "'unattributed' and the tail-coverage gate fails",
     ),
 }
 
 
-def _references_recorder(fn: ast.AST) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Attribute) and node.attr == "recorder":
-            return True
-        if isinstance(node, ast.Name) and node.id == "recorder":
-            return True
-    return False
+def _check_taps(module: ParsedModule, kind: str) -> list[Diagnostic]:
+    """Every registered site of ``module`` that needs ``kind`` has it."""
+    check, has_tap, requirement = _TAP_KINDS[kind]
+    required = {
+        qualname
+        for qualname, kinds in REQUIRED_TAPS.get(module.rel_path, {}).items()
+        if kind in kinds
+    }
+    if not required:
+        return []
+    out = []
+    found: set[str] = set()
+    for node in module.tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            functions = [
+                (f"{node.name}.{fn.name}", fn)
+                for fn in node.body
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+        else:
+            continue
+        for qualname, fn in functions:
+            if qualname not in required:
+                continue
+            found.add(qualname)
+            if not has_tap(fn):
+                out.append(_diag(module, fn, check, f"{qualname} {requirement}"))
+    for qualname in sorted(required - found):
+        first = module.tree.body[0] if module.tree.body else module.tree
+        out.append(
+            _diag(
+                module,
+                first,
+                check,
+                f"expected {kind}-tapped path {qualname} was not found; "
+                "update REQUIRED_TAPS in repro.analysis.checks if the path "
+                "moved",
+            )
+        )
+    return out
 
 
 def check_history_tap(module: ParsedModule) -> list[Diagnostic]:
     """Instrumented hot path lost its history-recorder tap."""
-    required = REQUIRED_HISTORY_TAPS.get(module.rel_path)
-    if not required:
-        return []
-    out = []
-    found: set[str] = set()
-    for cls in ast.walk(module.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for fn in cls.body:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            qualname = f"{cls.name}.{fn.name}"
-            if qualname not in required:
-                continue
-            found.add(qualname)
-            if not _references_recorder(fn):
-                out.append(
-                    _diag(
-                        module,
-                        fn,
-                        "history-tap",
-                        f"{qualname} must feed the repro.check history "
-                        "recorder (guard with 'if recorder is not None'); "
-                        "without the tap the consistency checker is blind "
-                        "to this path",
-                    )
-                )
-    for qualname in sorted(required - found):
-        first = module.tree.body[0] if module.tree.body else module.tree
-        out.append(
-            _diag(
-                module,
-                first,
-                "history-tap",
-                f"expected history-tapped method {qualname} was not "
-                "found; update REQUIRED_HISTORY_TAPS in "
-                "repro.analysis.checks if the hot path moved",
-            )
-        )
-    return out
-
-
-# -- profiler coverage --------------------------------------------------------
-
-#: The subsystem entry points that must feed the repro.obs sim-time
-#: profiler. The profiler's ≥99% busy-time coverage guarantee only holds
-#: while every path that advances (or accounts) simulated time carries a
-#: tag; a refactor that drops one silently under-attributes a subsystem
-#: and the regression gate starts comparing partial profiles. Keys are
-#: module rel-paths, values are ``Class.method`` names that must
-#: reference ``profiler``.
-REQUIRED_PERF_TAPS: dict[str, frozenset[str]] = {
-    "service/pool.py": frozenset({"TaskPool._dispatch"}),
-    "service/overload.py": frozenset({"OverloadState.account_hedge"}),
-    "service/scheduler.py": frozenset(
-        {"FairShareScheduler._record_dispatch"}
-    ),
-    "spanner/transaction.py": frozenset({"ReadWriteTransaction.commit"}),
-    "core/backend.py": frozenset({"Backend.commit"}),
-    "realtime/changelog.py": frozenset(
-        {"Changelog.accept", "Changelog._advance"}
-    ),
-    "client/client.py": frozenset({"MobileClient.flush"}),
-    "replication/group.py": frozenset({"ReplicaGroup.commit"}),
-}
-
-
-def _references_profiler(fn: ast.AST) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Attribute) and node.attr == "profiler":
-            return True
-        if isinstance(node, ast.Name) and node.id == "profiler":
-            return True
-    return False
+    return _check_taps(module, "history")
 
 
 def check_perf_attribution(module: ParsedModule) -> list[Diagnostic]:
     """Subsystem entry point lost its sim-time profiler tag."""
-    required = REQUIRED_PERF_TAPS.get(module.rel_path)
-    if not required:
-        return []
-    out = []
-    found: set[str] = set()
-    for cls in ast.walk(module.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for fn in cls.body:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            qualname = f"{cls.name}.{fn.name}"
-            if qualname not in required:
-                continue
-            found.add(qualname)
-            if not _references_profiler(fn):
-                out.append(
-                    _diag(
-                        module,
-                        fn,
-                        "perf-attribution",
-                        f"{qualname} must carry a repro.obs profiler tag "
-                        "(account(...) or measure(...), guarded by "
-                        "'if profiler'); without it the profiler's busy-"
-                        "time coverage guarantee is broken for this path",
-                    )
-                )
-    for qualname in sorted(required - found):
-        first = module.tree.body[0] if module.tree.body else module.tree
-        out.append(
-            _diag(
-                module,
-                first,
-                "perf-attribution",
-                f"expected profiler-tagged entry point {qualname} was not "
-                "found; update REQUIRED_PERF_TAPS in "
-                "repro.analysis.checks if the entry point moved",
-            )
-        )
-    return out
-
-
-# -- wait-cause coverage ------------------------------------------------------
-
-#: The blocking paths that must annotate their waits with a structured
-#: cause for the critical-path engine (``repro.obs.critpath``). Tail
-#: coverage is gated at >= 99% attributed; a refactor that drops one of
-#: these taps silently turns its time into ``unattributed`` and the
-#: gate fails far from the diff that caused it — this check makes the
-#: omission a lint failure instead. Keys are module rel-paths, values
-#: are ``Class.method`` or module-level function names that must
-#: reference the wait plumbing (``.wait(...)``, ``record_wait(...)``,
-#: or a ``wait_cause`` error hint).
-REQUIRED_WAIT_TAPS: dict[str, frozenset[str]] = {
-    "service/pool.py": frozenset({"TaskPool._make_completion"}),
-    "service/scheduler.py": frozenset(
-        {"FairShareScheduler._record_dispatch"}
-    ),
-    "service/cluster.py": frozenset({"ServingCluster.submit"}),
-    "service/overload.py": frozenset({"OverloadState.record_hedge_wait"}),
-    "faults/retry.py": frozenset({"call_with_retry"}),
-    "spanner/transaction.py": frozenset(
-        {
-            "_lock_abort",
-            "ReadWriteTransaction.read_versioned",
-            "ReadWriteTransaction.commit",
-        }
-    ),
-    "replication/group.py": frozenset(
-        {
-            "ReplicaGroup.precommit",
-            "ReplicaGroup.elect",
-            "ReplicaGroup.commit",
-        }
-    ),
-    "core/transaction.py": frozenset({"run_transaction"}),
-}
-
-_WAIT_TAP_NAMES = ("wait", "record_wait", "wait_cause")
-
-
-def _references_wait_tap(fn: ast.AST) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Attribute) and node.attr in _WAIT_TAP_NAMES:
-            return True
-        if isinstance(node, ast.Name) and node.id in _WAIT_TAP_NAMES:
-            return True
-    return False
+    return _check_taps(module, "perf")
 
 
 def check_wait_taps(module: ParsedModule) -> list[Diagnostic]:
     """Blocking path lost its structured wait-cause annotation."""
-    required = REQUIRED_WAIT_TAPS.get(module.rel_path)
-    if not required:
-        return []
-    out = []
-    found: set[str] = set()
-
-    def visit(fn, qualname: str) -> None:
-        if qualname not in required:
-            return
-        found.add(qualname)
-        if not _references_wait_tap(fn):
-            out.append(
-                _diag(
-                    module,
-                    fn,
-                    "wait-tap",
-                    f"{qualname} must annotate its blocking interval with "
-                    "a structured wait cause (span.wait(...) / "
-                    "tracer.record_wait(...) / an error's wait_cause "
-                    "hint); without the tap repro.obs.critpath reports "
-                    "this time as 'unattributed' and the tail-coverage "
-                    "gate fails",
-                )
-            )
-
-    for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            visit(node, node.name)
-        elif isinstance(node, ast.ClassDef):
-            for fn in node.body:
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    visit(fn, f"{node.name}.{fn.name}")
-    for qualname in sorted(required - found):
-        first = module.tree.body[0] if module.tree.body else module.tree
-        out.append(
-            _diag(
-                module,
-                first,
-                "wait-tap",
-                f"expected wait-tapped path {qualname} was not found; "
-                "update REQUIRED_WAIT_TAPS in repro.analysis.checks if "
-                "the blocking path moved",
-            )
-        )
-    return out
+    return _check_taps(module, "wait")
 
 
 # -- trace hygiene ------------------------------------------------------------
@@ -848,7 +747,7 @@ def _is_tracer_receiver(func: ast.Attribute) -> bool:
     if receiver is None:
         return False
     last = receiver.split(".")[-1]
-    return last in ("tracer", "_tracer")
+    return last in ("tracer", "_tracer", "probe", "_probe")
 
 
 def check_trace_span_context(module: ParsedModule) -> list[Diagnostic]:

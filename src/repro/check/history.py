@@ -354,7 +354,7 @@ def install(db) -> HistoryRecorder:
     """Install a history recorder onto a SpannerDatabase instance."""
     recorder = HistoryRecorder(
         clock=db.clock,
-        tracer_provider=lambda: getattr(db, "tracer", None),
+        tracer_provider=lambda: getattr(db, "probe", None),
         name=db.name,
     )
     db.recorder = recorder

@@ -24,9 +24,9 @@ violation is a bug):
     *culprit* issuing contended two-step read-modify-write transfers
     and *bystander* blind writes against the same documents, over an
     :class:`repro.sim.events.EventKernel` whose schedule the explorer
-    perturbs (``delay``/``flip`` modes), with a seeded
-    ``commit_fault_injector`` arming unknown-outcome commits to push
-    the Changelog through its out-of-sync fail-safe. (The original
+    perturbs (``delay``/``flip`` modes), with a seeded fault plan
+    arming unknown-outcome commits to push the Changelog through its
+    out-of-sync fail-safe. (The original
     Fig. 11 workload is a pure queueing simulation with no functional
     transactions, so this scenario recreates its contention shape on
     the functional stack.)
@@ -113,8 +113,9 @@ def _isolation_scenario(seed: int, mode: str, ops: int) -> None:
     from repro.core.firestore import FirestoreService
     from repro.core.transaction import TransactionContext
     from repro.errors import FirestoreError
+    # reprolint: disable=layering -- the scenario harness composes the fault plane's armed one-shot commits; a lazy harness import, not a layer dependency
+    from repro.faults.plan import FaultPlan
     from repro.sim.events import EventKernel
-    from repro.spanner.transaction import inject_unknown_outcome
 
     kernel = EventKernel(perturber=make_perturber(mode, seed))
     service = FirestoreService(
@@ -122,6 +123,9 @@ def _isolation_scenario(seed: int, mode: str, ops: int) -> None:
     )
     database = service.create_database("iso")
     spanner = database.layout.spanner
+    # rate-free: only the armed unknown-outcome commits below ever fire
+    plan = FaultPlan(seed)
+    spanner.fault_plan = plan
     rand = SimRandom(seed).fork("isolation-scenario")
     accounts = 3
     for account in range(accounts):
@@ -163,13 +167,11 @@ def _isolation_scenario(seed: int, mode: str, ops: int) -> None:
                 {"balance": (target.data or {}).get("balance", 0) + amount},
             )
             if rand.bernoulli(0.15):
-                # compose with the fault injector: an unknown-outcome
-                # commit drives the Changelog out-of-sync fail-safe
-                applied = rand.bernoulli(0.5)
-                spanner.commit_fault_injector = (
-                    # reprolint: disable=error-escape -- the injector lambda runs inside spanner's commit, which catches _UnknownOutcomeFailure itself
-                    lambda _txn: inject_unknown_outcome(applied)
-                )
+                # an unknown-outcome commit drives the Changelog
+                # out-of-sync fail-safe; it fires on the database's next
+                # commit, and a later arm replaces one not yet fired
+                plan.disarm("spanner.commit_unknown")
+                plan.arm("spanner.commit_unknown", applied=rand.bernoulli(0.5))
             try:
                 ctx._commit()
             except FirestoreError:

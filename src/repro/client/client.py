@@ -8,7 +8,6 @@ optional persistence across "restarts" (paper sections III-E and IV-E).
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -88,7 +87,6 @@ class MobileClient:
         self.database = database
         self.auth = auth
         self.persistence = persistence
-        self.tracer = database.service.tracer
         #: stable device identity; prefixes flush idempotency tokens so a
         #: retried commit dedups server-side (pass one explicitly to model
         #: the same device reinstalling with persisted state)
@@ -187,12 +185,12 @@ class MobileClient:
         doc_path = document_path(path if isinstance(path, Path) else Path.parse(path))
         if source == "server" and not self._online:
             raise Unavailable("source='server' requires connectivity")
-        if self.tracer:
+        if self.database.service.probe:
             return self._traced_get(doc_path, source)
         return self._get(doc_path, source)
 
     def _traced_get(self, doc_path: Path, source: str) -> ClientDocumentSnapshot:
-        with self.tracer.span(
+        with self.database.service.probe.span(
             "client.get",
             component="client",
             attributes={"path": str(doc_path), "source": source},
@@ -408,21 +406,12 @@ class MobileClient:
         mutations = self.mutation_queue.drain()
         if not mutations:
             return 0
-        service = self.database.service
-        # duck-typed: the client layer may not import repro.obs, so the
-        # profiler hook ships as an opaque context manager
-        profiler = service.profiler
-        measure = (
-            profiler.measure(
-                "client", "flush", service.clock, self.database.database_id
-            )
-            if profiler
-            else contextlib.nullcontext()
-        )
-        with measure, self.tracer.span(
+        with self.database.service.probe.span(
             "client.flush",
             component="client",
             attributes={"pending": len(mutations)},
+            perf=("client", "flush"),
+            tenant=self.database.database_id,
         ) as span:
             flushed = self._flush_mutations(mutations)
             span.set_attribute("flushed", flushed)
@@ -510,7 +499,7 @@ class MobileClient:
             self.flush()
         clock = self.database.service.clock
         last: Optional[Aborted] = None
-        with self.tracer.span(
+        with self.database.service.probe.span(
             "client.transaction", component="client"
         ) as span:
             for attempt in range(max_attempts):

@@ -43,9 +43,8 @@ from repro.core.path import Path, document_path
 from repro.core.planner import QueryPlanner
 from repro.core.query import Query
 from repro.core.serialization import deserialize_document, serialize_document
-from repro.obs.perf import NULL_PROFILER
 from repro.core.values import delete_field, get_field, set_field
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.probe import NULL_PROBE
 from repro.realtime.protocol import (
     DocumentChange,
     NullRealtimeCache,
@@ -176,7 +175,7 @@ class Backend:
         registry: Optional[IndexRegistry] = None,
         realtime: Optional[RealtimeCacheInterface] = None,
         rules=None,
-        tracer=NULL_TRACER,
+        probe=NULL_PROBE,
     ):
         self.layout = layout
         self.registry = registry if registry is not None else IndexRegistry()
@@ -185,10 +184,10 @@ class Backend:
         )
         self.rules = rules  # None = allow privileged only; see _check_rules
         self.planner = QueryPlanner(self.registry)
-        self.executor = QueryExecutor(layout, tracer=tracer)
+        self.executor = QueryExecutor(layout, probe=probe)
         self.triggers: list[TriggerRegistration] = []
         # observability
-        self.tracer = tracer
+        self.probe = probe
         self.committed_writes = 0
         self.docs_read = 0
 
@@ -248,7 +247,7 @@ class Backend:
         static query-constraint analysis, documented in DESIGN.md).
         """
         normalized = query.normalize()
-        with self.tracer.span(
+        with self.probe.span(
             "backend.run_query",
             attributes={
                 "database_id": self.layout.database_id,
@@ -345,22 +344,17 @@ class Backend:
             raise DeadlineExceeded("deadline expired before commit began")
         paths = [w.path for w in writes]
 
-        # duck-typed profiler (like recorder/fault_plan on the Spanner
-        # side): the whole seven-step protocol, fault stalls included,
-        # lands under core/backend.commit for this tenant
-        profiler = self.layout.spanner.profiler or NULL_PROFILER
-        with profiler.measure(
-            "core",
-            "backend.commit",
-            self.layout.spanner.clock,
-            self.layout.database_id,
-        ), self.tracer.span(
+        # the seven-step protocol's own sim time (what its Spanner commit
+        # and tablet stalls do not account) lands under core/backend.commit
+        with self.probe.span(
             "backend.commit",
             attributes={
                 "database_id": self.layout.database_id,
                 "operation": "commit",
                 "writes": len(writes),
             },
+            perf=("core", "backend.commit"),
+            tenant=self.layout.database_id,
         ) as commit_span:
             own_txn = txn is None
             spanner = self.layout.spanner
@@ -379,7 +373,7 @@ class Backend:
                             txn.rollback()
                         commit_span.set_attribute("replayed", True)
                         return replayed
-                with self.tracer.span(
+                with self.probe.span(
                     "backend.stage_writes", attributes={"steps": "2-4"}
                 ):
                     changes = self._stage_writes(txn, writes, auth)  # steps 2-4
@@ -407,7 +401,7 @@ class Backend:
             # step 5: Prepare with the Real-time Cache
             max_ts = spanner.truetime.now().latest + MAX_COMMIT_HORIZON_US
             try:
-                with self.tracer.span(
+                with self.probe.span(
                     "rtc.prepare", component="realtime", attributes={"step": 5}
                 ):
                     handle = self.realtime.prepare(
@@ -431,7 +425,7 @@ class Backend:
             # must be resolved (Accept FAILED) so the Changelog does not
             # wait out its timeout and trip the out-of-sync fail-safe
             if deadline_us is not None and spanner.clock.now_us >= deadline_us:
-                with self.tracer.span(
+                with self.probe.span(
                     "rtc.accept",
                     component="realtime",
                     attributes={"step": 7, "outcome": "failed"},
@@ -451,14 +445,14 @@ class Backend:
 
             # step 6: Spanner commit within [m, M]
             try:
-                with self.tracer.span(
+                with self.probe.span(
                     "spanner.commit", component="spanner", attributes={"step": 6}
                 ):
                     result = txn.commit(
                         min_commit_ts=handle.min_commit_ts, max_commit_ts=max_ts
                     )
             except Aborted:
-                with self.tracer.span(
+                with self.probe.span(
                     "rtc.accept",
                     component="realtime",
                     attributes={"step": 7, "outcome": "failed"},
@@ -472,7 +466,7 @@ class Backend:
                     )
                 raise
             except CommitOutcomeUnknown:
-                with self.tracer.span(
+                with self.probe.span(
                     "rtc.accept",
                     component="realtime",
                     attributes={"step": 7, "outcome": "unknown"},
@@ -490,7 +484,7 @@ class Backend:
 
             # step 7: Accept with the committed mutations
             stamped = [c.with_commit_ts(result.commit_ts) for c in changes]
-            with self.tracer.span(
+            with self.probe.span(
                 "rtc.accept",
                 component="realtime",
                 attributes={"step": 7, "outcome": "committed"},

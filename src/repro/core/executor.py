@@ -76,11 +76,11 @@ class _ByteRange:
 class QueryExecutor:
     """Executes query plans against one database's layout."""
 
-    def __init__(self, layout: DatabaseLayout, tracer=None):
-        from repro.obs.tracer import NULL_TRACER
+    def __init__(self, layout: DatabaseLayout, probe=None):
+        from repro.obs.probe import NULL_PROBE
 
         self.layout = layout
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.probe = probe if probe is not None else NULL_PROBE
 
     # -- public entry point -----------------------------------------------------
 
@@ -100,7 +100,7 @@ class QueryExecutor:
         """
         normalized = plan.normalized
         budget = _WorkBudget(max_work)
-        with self.tracer.span(
+        with self.probe.span(
             "executor.execute",
             component="backend",
             attributes={"plan": plan.kind, "read_ts": read_ts},

@@ -58,6 +58,7 @@ class FirestoreService:
         metrics=None,
         profiler=None,
     ):
+        from repro.obs.probe import Probe
         from repro.obs.tracer import NULL_TRACER
 
         self.region = region
@@ -66,9 +67,9 @@ class FirestoreService:
         self.truetime = TrueTime(self.clock)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        #: optional repro.obs.perf.Profiler, propagated to every Spanner
-        #: database and (through them) the functional commit path
-        self.profiler = profiler
+        #: the one observer handle every component of this deployment
+        #: holds (repro.obs.probe); measured regions read this clock
+        self.probe = Probe(self.clock, tracer, profiler)
         self.latency: LatencyModel = (
             MultiRegionalLatency() if multi_region else RegionalLatency()
         )
@@ -79,9 +80,8 @@ class FirestoreService:
             for i in range(SPANNER_DATABASES_PER_REGION)
         ]
         for i, spanner in enumerate(self.spanner_databases):
-            spanner.tracer = self.tracer
+            spanner.probe = self.probe
             spanner.metrics = metrics
-            spanner.profiler = profiler
             # every Spanner database is a geo-replica group over the
             # deployment's topology: quorum commit, leases, failover
             if self.latency.topology is not None:
@@ -224,19 +224,16 @@ class FirestoreDatabase:
         recovered = self.metadata.store.load_registry()
         self.registry = recovered if recovered is not None else IndexRegistry()
         self.realtime = RealtimeCache(
-            service.clock, tracer=service.tracer, metrics=service.metrics
+            service.clock, probe=service.probe, metrics=service.metrics
         )
         # the delivery path reports into the same execution history as
         # the transactions it mirrors (repro.check; None when disabled)
         self.realtime.changelog.recorder = spanner.recorder
-        # and into the same profiler ledger (repro.obs.perf; staleness
-        # SLO feeding is wired separately by the gate/bench runners)
-        self.realtime.changelog.profiler = spanner.profiler
         self.backend = Backend(
             self.layout,
             self.registry,
             realtime=self.realtime,
-            tracer=service.tracer,
+            probe=service.probe,
         )
         rules_source = self.metadata.store.load_rules()
         if rules_source is not None:

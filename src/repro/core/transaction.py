@@ -133,18 +133,14 @@ def run_transaction(
             ctx._rollback()
             last_error = exc
             clock.advance(backoff)
-            tracer = getattr(backend.layout.spanner, "tracer", None)
-            if tracer:
-                span = tracer.current_span()
-                if span is not None:
-                    # a contention abort means the backoff was spent
-                    # waiting for a lock holder — blame lock_wait (the
-                    # error may refine it, e.g. an injected timeout)
-                    span.wait(
-                        getattr(exc, "wait_cause", None) or "lock_wait",
-                        start_us=clock.now_us - backoff,
-                        end_us=clock.now_us,
-                    )
+            # a contention abort means the backoff was spent waiting for
+            # a lock holder — blame lock_wait (the error may refine it,
+            # e.g. an injected timeout)
+            backend.probe.wait(
+                getattr(exc, "wait_cause", None) or "lock_wait",
+                start_us=clock.now_us - backoff,
+                end_us=clock.now_us,
+            )
             backoff = int(backoff * BACKOFF_MULTIPLIER)
         except BaseException:
             ctx._rollback()

@@ -171,7 +171,7 @@ def call_with_retry(
     deadline_us: Optional[int] = None,
     metrics=None,
     budget: Optional[RetryBudget] = None,
-    tracer=None,
+    probe=None,
 ):
     """Run ``operation()`` under ``policy``, backing off on retryables.
 
@@ -185,7 +185,7 @@ def call_with_retry(
     deadline after a backoff (timer coalescing, an overshooting sleep),
     the op surfaces terminal ``DeadlineExceeded`` — never another attempt.
 
-    When a ``tracer`` is given, every backoff that elapsed on the clock
+    When a ``probe`` is given, every backoff that elapsed on the clock
     is annotated as a wait on the innermost open span, with the cause
     from :func:`backoff_wait_cause` — the raw material for critical-path
     tail attribution (``repro.obs.critpath``).
@@ -229,15 +229,13 @@ def call_with_retry(
                 backoff_counter.inc(pause)
             if clock is not None:
                 clock.advance(pause)
-                if tracer:
-                    span = tracer.current_span()
-                    if span is not None:
-                        span.wait(
-                            backoff_wait_cause(error),
-                            start_us=clock.now_us - pause,
-                            end_us=clock.now_us,
-                            detail=error.code,
-                        )
+                if probe:
+                    probe.wait(
+                        backoff_wait_cause(error),
+                        start_us=clock.now_us - pause,
+                        end_us=clock.now_us,
+                        detail=error.code,
+                    )
                 if deadline_us is not None and clock.now_us >= deadline_us:
                     # the backoff timer fired after the absolute deadline
                     # passed: terminal, never another attempt
@@ -274,7 +272,6 @@ def commit_with_retry(
     paper's "the write may or may not be applied" case made safe.
     """
     clock = database.layout.spanner.clock
-    tracer = getattr(database.layout.spanner, "tracer", None)
 
     def attempt():
         return database.commit(
@@ -293,5 +290,5 @@ def commit_with_retry(
         deadline_us=deadline_us,
         metrics=metrics,
         budget=budget,
-        tracer=tracer,
+        probe=database.service.probe,
     )

@@ -5,8 +5,8 @@ monitoring; this package gives the reproduction the same visibility:
 
 - :class:`Tracer` / :class:`Span`: Dapper-style span trees over the
   simulated clock, with deterministic ids from seeded random streams.
-- :data:`NULL_TRACER`: the zero-overhead disabled singleton every
-  component defaults to.
+- :data:`NULL_TRACER`: the disabled tracer the public entry points
+  expose when none was given.
 - :class:`MetricsRegistry`: labeled counters/gauges/histograms keyed by
   ``database_id``/``operation``.
 - Exporters: Chrome trace-event JSON (open in Perfetto) and a plain-text
@@ -14,8 +14,11 @@ monitoring; this package gives the reproduction the same visibility:
 - :func:`trace_full_commit`: run one fully-traced commit through the
   functional stack — Frontend RPC, the Backend's seven-step write,
   Spanner 2PC, Real-time Prepare/Accept, listener delivery.
-- :class:`Profiler` / :data:`NULL_PROFILER`: the deterministic sim-time
-  profiler attributing busy time to (subsystem, operation, database).
+- :class:`Profiler`: the deterministic sim-time profiler attributing
+  busy time to (subsystem, operation, database).
+- :class:`Probe` / :data:`NULL_PROBE`: the one observer handle each
+  instrumented component holds, feeding the tracer and the profiler
+  from one call per event.
 - :class:`SloSpec` / :class:`SloEngine`: declarative objectives with
   rolling-window burn-rate evaluation.
 - :mod:`repro.obs.stats`: the one home for percentile arithmetic.
@@ -32,7 +35,8 @@ from repro.obs.export import (
     write_text_report,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.perf import NULL_PROFILER, Profiler, collapse_spans, flamegraph_svg
+from repro.obs.perf import Profiler, collapse_spans, flamegraph_svg
+from repro.obs.probe import NULL_PROBE, Probe
 from repro.obs.sampling import trace_full_commit
 from repro.obs.slo import (
     DEFAULT_SLOS,
@@ -58,11 +62,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_PROFILER",
+    "NULL_PROBE",
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",
     "OVERLOAD_SLOS",
+    "Probe",
     "Profiler",
     "REPLICATION_SLOS",
     "SloEngine",

@@ -14,15 +14,19 @@ benchmarks under ``benchmarks/``, the chaos sweep, and the gate cells in
         "rejected":    {"value": 0,    "unit": "count", "kind": "exact"}
       },
       "slos": { ... repro.obs.slo verdict block ... },
-      "raw":  { ... benchmark-specific payload, not compared ... }
+      "raw":  { ... benchmark-specific payload ... }
     }
 
 ``kind`` picks the comparison rule: ``exact`` metrics (deterministic
 counters — commit counts, rejections, injected faults) must match the
 baseline byte-for-byte; ``stat`` metrics carry a relative ``tolerance``
-band. :func:`compare_bench` diffs a fresh payload against a committed
-baseline and reports every excursion with the metric's name and the
-observed factor, which is what the CI ``perf-gate`` job fails on.
+band. The one compared part of ``raw`` is a cell's sim-time profile
+(``raw.profile``, :meth:`repro.obs.perf.Profiler.to_dict`): it is
+deterministic per seed, so every ledger row's key, ``calls`` and
+``sim_us`` must match the baseline exactly. :func:`compare_bench` diffs
+a fresh payload against a committed baseline and reports every
+excursion with the metric's (or ledger row's) name and the observed
+factor, which is what the CI ``perf-gate`` job fails on.
 
 Baselines live in ``benchmarks/baselines/`` and are updated explicitly
 (``python -m repro.obs.bench --update-baselines``), never implicitly.
@@ -93,7 +97,7 @@ class Regression:
 
     bench: str
     metric: str
-    kind: str  # "exact" | "stat" | "slo" | "schema"
+    kind: str  # "exact" | "stat" | "profile" | "slo" | "schema"
     baseline: object
     value: object
     factor: float
@@ -116,8 +120,9 @@ def compare_bench(fresh: dict, baseline: dict) -> list[Regression]:
 
     Returns every regression: schema drift, a missing metric, an
     ``exact`` mismatch, a ``stat`` excursion beyond its tolerance band,
-    or an SLO the fresh run fails. New metrics absent from the baseline
-    are *not* failures (they become baselines on the next update).
+    a profile ledger row that differs from the baseline's, or an SLO the
+    fresh run fails. New metrics absent from the baseline are *not*
+    failures (they become baselines on the next update).
     """
     name = fresh.get("name", "?")
     out: list[Regression] = []
@@ -196,6 +201,7 @@ def compare_bench(fresh: dict, baseline: dict) -> list[Regression]:
                     ),
                 )
             )
+    out.extend(_compare_profiles(name, fresh, baseline))
     for slo_name, verdict in sorted(fresh.get("slos", {}).items()):
         if not verdict.get("ok", True):
             out.append(
@@ -217,6 +223,45 @@ def compare_bench(fresh: dict, baseline: dict) -> list[Regression]:
                 )
             )
     return out
+
+
+def _ledger_rows(payload: dict) -> Optional[dict]:
+    profile = payload.get("raw", {}).get("profile")
+    if profile is None:
+        return None
+    return {
+        f"{row['subsystem']}/{row['operation']}@{row['database_id']}": (
+            row["calls"],
+            row["sim_us"],
+        )
+        for row in profile.get("entries", [])
+    }
+
+
+def _compare_profiles(name: str, fresh: dict, baseline: dict) -> list[Regression]:
+    """Every ``raw.profile`` ledger row whose (calls, sim_us) differs."""
+    base_rows = _ledger_rows(baseline)
+    if base_rows is None:
+        return []
+    rows = _ledger_rows(fresh) or {}
+    return [
+        Regression(
+            bench=name,
+            metric=f"profile:{key}",
+            kind="profile",
+            baseline=base_rows.get(key),
+            value=rows.get(key),
+            factor=_factor(
+                rows.get(key, (0, 0))[1], base_rows.get(key, (0, 0))[1]
+            ),
+            message=(
+                f"profile row {key}: (calls, sim_us) {rows.get(key)!r} != "
+                f"baseline {base_rows.get(key)!r}"
+            ),
+        )
+        for key in sorted(set(base_rows) | set(rows))
+        if rows.get(key) != base_rows.get(key)
+    ]
 
 
 def compare_suites(

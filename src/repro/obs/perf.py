@@ -16,10 +16,9 @@ the event kernel's optional profiler hook (see
 therefore non-deterministic; it never appears in the deterministic
 exports — :meth:`Profiler.wall_report` is the only way out.
 
-Sites consult the profiler duck-typed, the same way fault plans and
-history recorders are consulted: ``if profiler: profiler.account(...)``.
-:data:`NULL_PROFILER` is falsy, so un-instrumented runs pay one
-truthiness check per site.
+Sites never hold the profiler itself: they feed it through their
+:class:`repro.obs.probe.Probe`, the one observer handle that also feeds
+the tracer, and which measures regions as self time.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from typing import Iterable, Optional
 
 __all__ = [
     "Profiler",
-    "NULL_PROFILER",
     "collapse_spans",
     "flamegraph_svg",
 ]
@@ -48,9 +46,6 @@ class Profiler:
         #: plane: never exported with the deterministic artifacts)
         self._wall_ns: dict[str, int] = {}
         self._wall_events: dict[str, int] = {}
-
-    def __bool__(self) -> bool:
-        return True
 
     # -- write side --------------------------------------------------------
 
@@ -76,14 +71,6 @@ class Profiler:
             self.metrics.counter(
                 "perf_cpu_us", subsystem=subsystem, database_id=database_id
             ).inc(sim_us)
-
-    def measure(self, subsystem: str, operation: str, clock, database_id: str = SHARED):
-        """Context manager accounting the sim-clock delta across a block.
-
-        For synchronous functional code (the Spanner commit path), where
-        busy time shows up as the clock advancing under fault delays.
-        """
-        return _Measure(self, subsystem, operation, clock, database_id)
 
     def record_wall(self, label: str, wall_ns: int) -> None:
         """Accumulate wall-clock self-time for one event label."""
@@ -184,57 +171,6 @@ class Profiler:
                 f"{row['calls']:>8} {100.0 * row['sim_us'] / total:>6.1f}%"
             )
         return "\n".join(lines) + "\n"
-
-
-class _Measure:
-    __slots__ = ("profiler", "subsystem", "operation", "clock", "database_id", "_start")
-
-    def __init__(self, profiler, subsystem, operation, clock, database_id):
-        self.profiler = profiler
-        self.subsystem = subsystem
-        self.operation = operation
-        self.clock = clock
-        self.database_id = database_id
-        self._start = 0
-
-    def __enter__(self):
-        self._start = self.clock.now_us
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = max(0, self.clock.now_us - self._start)
-        self.profiler.account(
-            self.subsystem, self.operation, elapsed, self.database_id
-        )
-        return False
-
-
-class _NullProfiler:
-    """Falsy no-op stand-in so call sites need no None checks."""
-
-    def __bool__(self) -> bool:
-        return False
-
-    def account(self, *args, **kwargs) -> None:
-        pass
-
-    def record_wall(self, *args, **kwargs) -> None:
-        pass
-
-    def measure(self, subsystem, operation, clock, database_id=SHARED):
-        return _NULL_MEASURE
-
-
-class _NullMeasure:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_MEASURE = _NullMeasure()
-NULL_PROFILER = _NullProfiler()
 
 
 # -- flamegraphs -----------------------------------------------------------

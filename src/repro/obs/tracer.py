@@ -9,10 +9,11 @@ drawn from a forked :class:`repro.sim.rand.SimRandom` stream and all
 timestamps come from the simulated clock, so two runs with the same seed
 produce byte-identical trace exports.
 
-Tracing is zero-overhead when off: components default to the module-level
-:data:`NULL_TRACER` singleton, whose methods are no-ops returning a shared
-null span, and which is falsy so hot paths can skip even attribute
-computation with ``if tracer: ...``.
+Components do not hold a tracer: they hold one
+:class:`repro.obs.probe.Probe`, which feeds the tracer and the sim-time
+profiler from each instrumented site and is falsy when nothing
+observes the run. :data:`NULL_TRACER` is the disabled
+tracer the public entry points expose when none was given.
 
 Synchronous code (the functional database stack) uses the implicit
 current-span stack via the :meth:`Tracer.span` context manager; the
@@ -281,8 +282,6 @@ class Tracer:
     workload randomness.
     """
 
-    enabled = True
-
     def __init__(
         self,
         clock: SimClock,
@@ -389,8 +388,8 @@ class Tracer:
         """Record a blocking interval for :class:`SpanContext` holders.
 
         The discrete-event serving plane carries a ``SpanContext`` (not a
-        live span) through RPC envelopes, so pools/schedulers record waits
-        here; synchronous code uses :meth:`Span.wait`. ``start_us``/
+        live span) through RPC envelopes; components reach this through
+        :meth:`repro.obs.probe.Probe.wait`. ``start_us``/
         ``end_us`` describe an *interval* wait on the sim timeline;
         ``duration_us`` alone describes a *modeled* (priced-not-elapsed)
         wait. Zero/negative waits are dropped — they carry no blame.
@@ -427,13 +426,6 @@ class Tracer:
             self.waits_dropped += 1
             return
         self.waits.append(record)
-
-    def waits_by_trace(self) -> dict[str, list[WaitRecord]]:
-        """Wait records grouped by trace id, in record order."""
-        grouped: dict[str, list[WaitRecord]] = {}
-        for record in self.waits:
-            grouped.setdefault(record.trace_id, []).append(record)
-        return grouped
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -486,7 +478,6 @@ class Tracer:
 class NullTracer:
     """The zero-overhead disabled tracer. Falsy; all methods no-op."""
 
-    enabled = False
     finished: list = []
     dropped = 0
     waits: list = []
@@ -494,20 +485,6 @@ class NullTracer:
 
     def __bool__(self) -> bool:
         return False
-
-    def record_wait(
-        self,
-        context,
-        cause,
-        start_us=None,
-        end_us=None,
-        duration_us=None,
-        detail="",
-    ) -> None:
-        pass
-
-    def waits_by_trace(self) -> dict:
-        return {}
 
     def start_span(self, name, parent=None, attributes=None, component=""):
         return NULL_SPAN

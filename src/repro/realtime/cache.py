@@ -35,17 +35,17 @@ class RealtimeCache:
         self,
         clock: SimClock,
         auto_resync: bool = True,
-        tracer=None,
+        probe=None,
         metrics=None,
     ):
         self.clock = clock
-        self.tracer = tracer
+        self.probe = probe
         self.metrics = metrics
         self.ownership = RangeOwnership()
         self.changelog = Changelog(
-            self.ownership, clock, tracer=tracer, metrics=metrics
+            self.ownership, clock, probe=probe, metrics=metrics
         )
-        self.matcher = QueryMatcher(self.ownership, tracer=tracer, metrics=metrics)
+        self.matcher = QueryMatcher(self.ownership, probe=probe, metrics=metrics)
         self.frontends: list[Frontend] = []
         self._handles: dict[int, list[NameRange]] = {}
         self.available = True
@@ -96,7 +96,7 @@ class RealtimeCache:
 
     def create_frontend(self, backend: Backend) -> Frontend:
         """Register a new Frontend task over this cache."""
-        frontend = Frontend(backend, self.matcher, tracer=self.tracer)
+        frontend = Frontend(backend, self.matcher, probe=self.probe)
         self.frontends.append(frontend)
         return frontend
 

@@ -55,10 +55,10 @@ class Changelog:
         self,
         ownership: RangeOwnership,
         clock: SimClock,
-        tracer=None,
+        probe=None,
         metrics=None,
     ):
-        from repro.obs.tracer import NULL_TRACER
+        from repro.obs.probe import NULL_PROBE
 
         self.ownership = ownership
         self.clock = clock
@@ -69,16 +69,15 @@ class Changelog:
         self.on_heartbeat: Optional[Callable[[NameRange, int], None]] = None
         self.on_out_of_sync: Optional[Callable[[NameRange], None]] = None
         # observability
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.probe = probe if probe is not None else NULL_PROBE
         self.metrics = metrics
         self.prepares = 0
         self.timeouts = 0
         # history recorder (repro.check): wired by FirestoreDatabase to
         # the shared Spanner database's recorder when checking is enabled
         self.recorder = None
-        # sim-time profiler and SLO engine (repro.obs), duck-typed like
-        # the recorder; the delivery path feeds notification staleness
-        self.profiler = None
+        # SLO engine (repro.obs), duck-typed like the recorder; the
+        # delivery path feeds it notification staleness
         self.slo = None
 
     def _log_for(self, name_range: NameRange) -> _RangeLog:
@@ -103,7 +102,7 @@ class Changelog:
             self.metrics.counter("rtc_prepares").inc()
         min_ts = 0
         deadline = max_commit_ts + ACCEPT_TIMEOUT_MARGIN_US
-        with self.tracer.span(
+        with self.probe.span(
             "rtc.changelog.prepare",
             component="realtime",
             attributes={"prepare_id": prepare_id, "ranges": len(ranges)},
@@ -128,7 +127,7 @@ class Changelog:
         changes: list[DocumentChange],
     ) -> None:
         """Step 7: resolve an outstanding prepare."""
-        with self.tracer.span(
+        with self.probe.span(
             "rtc.changelog.accept",
             component="realtime",
             attributes={
@@ -141,8 +140,8 @@ class Changelog:
                 self.metrics.counter(
                     "rtc_accepts", outcome=outcome.name.lower()
                 ).inc()
-            if self.profiler:
-                self.profiler.account(
+            if self.probe:
+                self.probe.account(
                     "realtime", f"changelog.accept.{outcome.name.lower()}", 0
                 )
             recorder = self.recorder
@@ -237,16 +236,14 @@ class Changelog:
                 recorder.changelog_watermark(
                     log.name_range.range_id, new_watermark
                 )
-        if ready and (self.profiler or self.slo):
+        probe = self.probe
+        if ready and (probe or self.slo):
             now = self.clock.now_us
             for ts, _ in ready:
                 # staleness: how long the committed mutation waited in the
                 # buffer before the watermark released it to listeners
                 staleness_us = max(0, now - ts)
-                if self.profiler:
-                    self.profiler.account(
-                        "realtime", "changelog.deliver", staleness_us
-                    )
+                probe.account("realtime", "changelog.deliver", staleness_us)
                 if self.slo:
                     self.slo.record_latency(
                         "notify.staleness", now, staleness_us

@@ -178,12 +178,12 @@ class RealtimeConnection:
         if target <= self._emitted_ts:
             return emitted
         self._emitted_ts = target
-        tracer = self._frontend.tracer
+        probe = self._frontend.probe
         for state in self._states.values():
             if target > state.max_commit_version:
                 delta = self._frontend._apply_pending(state, target)
                 if delta is not None and not delta.is_empty:
-                    with tracer.span(
+                    with probe.span(
                         "listener.notify",
                         component="frontend",
                         attributes={
@@ -192,7 +192,7 @@ class RealtimeConnection:
                             "modified": len(delta.modified),
                             "removed": len(delta.removed),
                         }
-                        if tracer
+                        if probe
                         else None,
                     ):
                         state.on_snapshot(delta)
@@ -211,15 +211,15 @@ class RealtimeConnection:
 class Frontend:
     """One Frontend task serving real-time connections for a database."""
 
-    def __init__(self, backend: Backend, matcher: QueryMatcher, tracer=None):
-        from repro.obs.tracer import NULL_TRACER
+    def __init__(self, backend: Backend, matcher: QueryMatcher, probe=None):
+        from repro.obs.probe import NULL_PROBE
 
         self.backend = backend
         self.matcher = matcher
         self._connections: set[RealtimeConnection] = set()
         self._conn_ids = itertools.count(1)
         # observability
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.probe = probe if probe is not None else NULL_PROBE
         self.snapshots_sent = 0
         self.resets = 0
 
@@ -247,7 +247,7 @@ class Frontend:
     def pump(self) -> int:
         """Deliver any snapshots that have become consistent."""
         emitted = 0
-        with self.tracer.span("frontend.pump", component="frontend") as span:
+        with self.probe.span("frontend.pump", component="frontend") as span:
             for connection in list(self._connections):
                 emitted += connection._pump()
             span.set_attribute("snapshots", emitted)
@@ -297,11 +297,11 @@ class Frontend:
             range_id: result.read_ts for range_id in subscription.range_ids
         }
         delta = self._diff_snapshots(state, previous, result.read_ts, is_initial=True)
-        with self.tracer.span(
+        with self.probe.span(
             "listener.notify",
             component="frontend",
             attributes={"read_ts": delta.read_ts, "initial": True}
-            if self.tracer
+            if self.probe
             else None,
         ):
             state.on_snapshot(delta)

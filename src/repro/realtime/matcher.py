@@ -69,8 +69,8 @@ class Subscription:
 class QueryMatcher:
     """Matcher tasks for one database's ranges."""
 
-    def __init__(self, ownership: RangeOwnership, tracer=None, metrics=None):
-        from repro.obs.tracer import NULL_TRACER
+    def __init__(self, ownership: RangeOwnership, probe=None, metrics=None):
+        from repro.obs.probe import NULL_PROBE
 
         self.ownership = ownership
         self._ids = itertools.count(1)
@@ -78,7 +78,7 @@ class QueryMatcher:
         self._by_range: dict[int, dict[int, Subscription]] = {}
         self._subs: dict[int, Subscription] = {}
         # observability
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.probe = probe if probe is not None else NULL_PROBE
         self.metrics = metrics
         self.changes_examined = 0
         self.changes_forwarded = 0
@@ -131,10 +131,10 @@ class QueryMatcher:
         forwarded = 0
         attrs = (
             {"range_id": name_range.range_id, "path": str(change.path)}
-            if self.tracer
+            if self.probe
             else None
         )
-        with self.tracer.span(
+        with self.probe.span(
             "matcher.match", component="realtime", attributes=attrs
         ) as span:
             subscriptions = list(self._by_range.get(name_range.range_id, {}).values())

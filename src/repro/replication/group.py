@@ -26,7 +26,8 @@ state machine on the sim clock:
 
 Fault sites (``region.outage``, ``region.partition``, ``replica.slow``)
 are consulted through the duck-typed ``fault_plan`` attribute, like every
-other layer; recorder/profiler/metrics hooks follow the same pattern.
+other layer; the recorder, the observer probe and metrics follow the
+same pattern.
 All randomness comes from streams forked off the group seed, so runs
 replay byte-identically.
 """
@@ -117,8 +118,8 @@ class ReplicaGroup:
         self.topology = topology
         self.lease_us = lease_us
         self.metrics = metrics
-        #: the owning SpannerDatabase; recorder/profiler hooks are read
-        #: through it dynamically (duck-typed, None-tolerant) so guardrail
+        #: the owning SpannerDatabase; its recorder and observer probe are
+        #: read through it dynamically (duck-typed, None-tolerant) so
         #: installation after construction still reaches this group
         self.host = host
         self.rand = SimRandom(seed).fork(f"replication:{name}")
@@ -153,6 +154,9 @@ class ReplicaGroup:
 
     def _recorder(self):
         return self.host.recorder if self.host is not None else None
+
+    def _probe(self):
+        return self.host.probe if self.host is not None else None
 
     def _reachable_regions(self, now_us: int) -> list[str]:
         return [
@@ -391,16 +395,16 @@ class ReplicaGroup:
         needed = self.quorum_size - 1
         ack_rtts.sort()
         ack_us = ack_rtts[needed - 1] if needed and len(ack_rtts) >= needed else 0
-        profiler = self.host.profiler if self.host is not None else None
-        if profiler:
-            profiler.account("replication", "quorum.ack", ack_us)
-        tracer = self.host.tracer if self.host is not None else None
-        if tracer and ack_us:
-            span = tracer.current_span()
-            if span is not None:
-                # the quorum round trip is priced, never elapsed — a
-                # modeled wait on whatever commit span is open
-                span.wait("quorum_rtt", duration_us=ack_us, detail="quorum ack")
+        probe = self._probe()
+        if probe:
+            # the quorum round trip is priced, never elapsed — a modeled
+            # wait on whatever commit span is open
+            probe.wait(
+                "quorum_rtt",
+                duration_us=ack_us,
+                detail="quorum ack",
+                perf=("replication", "quorum.ack"),
+            )
         recorder = self._recorder()
         if recorder is not None:
             recorder.repl_commit(
@@ -464,30 +468,25 @@ class ReplicaGroup:
             )
         if self.metrics is not None:
             self.metrics.counter("replication.failovers", group=self.name).inc()
-        tracer = self.host.tracer if self.host is not None else None
-        if tracer:
-            span = tracer.current_span()
-            if span is not None:
-                # election recovery rides the critical path of whichever
-                # request triggered it: the winner reconciles the
-                # quorum-acked suffix with a quorum of peers (one round
-                # trip) and replays entries it lacked. Modeled — priced
-                # but never elapsed on the sim clock, like quorum acks.
-                rtts = sorted(
-                    2 * self._one_way_us(winner, region)
-                    for region in candidates
-                    if region != winner
-                )
-                needed = self.quorum_size - 1
-                reconcile_us = rtts[needed - 1] if len(rtts) >= needed else 0
-                span.wait(
-                    "replication_apply",
-                    duration_us=reconcile_us
-                    + recovered * LOG_APPLY_US_PER_ENTRY,
-                    detail=(
-                        f"term {self.term} recovered {recovered} entries"
-                    ),
-                )
+        probe = self._probe()
+        if probe:
+            # election recovery rides the critical path of whichever
+            # request triggered it: the winner reconciles the quorum-acked
+            # suffix with a quorum of peers (one round trip) and replays
+            # entries it lacked. Modeled — priced but never elapsed on the
+            # sim clock, like quorum acks.
+            rtts = sorted(
+                2 * self._one_way_us(winner, region)
+                for region in candidates
+                if region != winner
+            )
+            needed = self.quorum_size - 1
+            reconcile_us = rtts[needed - 1] if len(rtts) >= needed else 0
+            probe.wait(
+                "replication_apply",
+                duration_us=reconcile_us + recovered * LOG_APPLY_US_PER_ENTRY,
+                detail=f"term {self.term} recovered {recovered} entries",
+            )
         return winner
 
     # -- staleness routing --------------------------------------------------------

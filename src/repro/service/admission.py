@@ -48,7 +48,8 @@ class AdmissionController:
         "clock",
         "config",
         "metrics",
-        "profiler",
+        "probe",
+        "_probe_on",
         "_inflight",
         "_inflight_memory",
         "_windows",
@@ -65,13 +66,14 @@ class AdmissionController:
         clock: SimClock,
         config: AdmissionConfig | None = None,
         metrics=None,
-        profiler=None,
+        probe=None,
     ):
         self.clock = clock
         self.config = config if config is not None else AdmissionConfig()
         self.metrics = metrics
-        #: optional repro.obs.perf.Profiler (duck-typed, may stay None)
-        self.profiler = profiler
+        #: optional repro.obs.probe.Probe; decisions count in its ledger
+        self.probe = probe
+        self._probe_on = bool(probe)
         self._inflight: dict[str, int] = {}
         self._inflight_memory: dict[str, int] = {}
         # conformance tracking, per database:
@@ -149,7 +151,7 @@ class AdmissionController:
                 self._inflight_memory.get(database_id, 0) + memory_bytes
             )
         self.admitted += 1
-        if self.metrics is not None or self.profiler is not None:
+        if self.metrics is not None or self._probe_on:
             self._record(database_id, "admitted")
         return True, None
 
@@ -184,9 +186,9 @@ class AdmissionController:
             self.metrics.counter(
                 "admission_decisions", database_id=database_id, outcome=outcome
             ).inc()
-        if self.profiler:
+        if self._probe_on:
             # decisions are free in sim time; the ledger keeps the count
-            self.profiler.account(
+            self.probe.account(
                 "service", f"admission.{outcome}", 0, database_id
             )
 

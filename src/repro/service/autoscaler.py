@@ -81,9 +81,9 @@ class Autoscaler:
 
     def _evaluate(self) -> None:
         utilization = self.pool.utilization()
-        if self.pool.profiler:
+        if self.pool.probe:
             # control-plane work: zero sim-cost, counted for attribution
-            self.pool.profiler.account(
+            self.pool.probe.account(
                 "service", f"autoscaler.evaluate.{self.pool.name}", 0
             )
         if self.metrics is not None:

@@ -72,19 +72,18 @@ class ServingCluster:
         profiler=None,
         slo=None,
     ):
-        from repro.obs.perf import NULL_PROFILER
+        from repro.obs.probe import Probe
         from repro.obs.tracer import NULL_TRACER
 
         self.kernel = kernel if kernel is not None else EventKernel()
         self.config = config if config is not None else ClusterConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        # fast flags resolved once: the submit/complete path runs per
-        # request, and truthiness of the null singletons is a Python
-        # __bool__ call each time
-        self._tracer_on = bool(self.tracer)
-        self._profiler_on = bool(self.profiler)
+        #: the one observer handle every serving component holds
+        self.probe = Probe(self.kernel.clock, tracer, profiler)
+        # resolved once: the submit/complete path runs per request, and
+        # truthiness of the null probe is a Python __bool__ call
+        self._probe_on = bool(self.probe)
         #: optional repro.obs.slo.SloEngine; every completion/failure and
         #: fanout delivery feeds its request/staleness streams
         self.slo = slo
@@ -100,18 +99,16 @@ class ServingCluster:
             self.kernel,
             self._make_scheduler(fair=True),
             initial_tasks=self.config.frontend_tasks,
-            tracer=self.tracer,
             metrics=metrics,
-            profiler=profiler,
+            probe=self.probe,
         )
         self.backend_pool = TaskPool(
             "backend",
             self.kernel,
             self._make_scheduler(fair=self.config.fair_scheduling),
             initial_tasks=self.config.backend_tasks,
-            tracer=self.tracer,
             metrics=metrics,
-            profiler=profiler,
+            probe=self.probe,
         )
         self.active_connections = 0
         self.frontend_autoscaler = Autoscaler(
@@ -133,7 +130,7 @@ class ServingCluster:
             self.kernel.clock,
             self.config.admission,
             metrics=metrics,
-            profiler=profiler,
+            probe=self.probe,
         )
         self.billing = BillingLedger(self.kernel.clock)
         # deterministic fault plane (repro.faults.FaultPlan), duck-typed:
@@ -150,9 +147,7 @@ class ServingCluster:
         overload_config = self.config.overload
         if overload_config.enabled:
             self.overload = OverloadState(
-                overload_config,
-                metrics=metrics,
-                profiler=self.profiler if self.profiler else None,
+                overload_config, metrics=metrics, probe=self.probe
             )
             # the limiter's AIMD limit replaces the static shed_queue_depth
             self.admission.adaptive = self.overload.limiter
@@ -202,15 +197,9 @@ class ServingCluster:
 
     def _make_scheduler(self, fair: bool) -> FairShareScheduler:
         scheduler = FairShareScheduler(
-            fair=fair,
-            metrics=self.metrics,
-            profiler=self.profiler if self.profiler else None,
-            slo=self.slo,
+            fair=fair, metrics=self.metrics, probe=self.probe, slo=self.slo
         )
         scheduler.clock = self.kernel.clock
-        if self._tracer_on:
-            # queue waits become structured wait causes on each trace
-            scheduler.tracer = self.tracer
         return scheduler
 
     # -- long-lived connections --------------------------------------------------
@@ -278,8 +267,8 @@ class ServingCluster:
             # a backend task dies under load; its in-flight RPC requeues
             self.backend_pool.crash_tasks(1)
         root = None
-        if self._tracer_on:
-            root = self.tracer.start_span(
+        if self._probe_on:
+            root = self.probe.start_span(
                 "cluster.rpc",
                 parent=trace_parent,
                 component="cluster",
@@ -312,7 +301,7 @@ class ServingCluster:
                 ).inc()
             if self.slo:
                 self.slo.record("request", self.kernel.now_us, False)
-            if root is not None:
+            if root:
                 root.set_attribute("rejected", reason.value)
                 root.end()
             if on_reject is not None:
@@ -341,7 +330,7 @@ class ServingCluster:
         else:
             storage_us = self._storage_latency(kind, commit_participants)
             network_us = 2 * self.latency.rpc_us(self.rand)  # same-region client
-        trace_ctx = root.context if root is not None else None
+        trace_ctx = root.context if root else None
         # first-terminal-outcome-wins guard, shared by the primary path,
         # its failure paths, and a hedged backup read (None = layer off)
         settled = [False] if overload is not None else None
@@ -365,7 +354,7 @@ class ServingCluster:
                 ).inc()
             if self.slo:
                 self.slo.record("request", self.kernel.now_us, False)
-            if root is not None:
+            if root:
                 root.set_attribute("failed", reason)
                 root.end()
             if on_reject is not None:
@@ -394,14 +383,14 @@ class ServingCluster:
             if bill_op is not None:
                 bill_op(database_id)
             now = clock._now_us
-            if self._profiler_on:
+            if self._probe_on:
                 # wire and storage time are busy time spent elsewhere on
                 # this request's behalf — attributed so the flame adds up
-                self.profiler.account(
+                self.probe.account(
                     "network", f"wire.{operation}", net_us, database_id
                 )
                 if store_us:
-                    self.profiler.account(
+                    self.probe.account(
                         "spanner", f"storage.{operation}", store_us, database_id
                     )
             if self.slo:
@@ -418,7 +407,7 @@ class ServingCluster:
                     database_id=database_id,
                     operation=operation,
                 ).observe(total_us)
-            if root is not None:
+            if root:
                 root.set_attributes(
                     {
                         "latency_us": total_us,
@@ -501,12 +490,10 @@ class ServingCluster:
                 if not overload.hedges.try_spend():
                     return
                 overload.account_hedge("fired", database_id)
-                if self._tracer_on:
+                if self._probe_on:
                     # from hedge arming to firing, the request was waiting
                     # on the primary — blame the hedge delay explicitly
-                    overload.record_hedge_wait(
-                        self.tracer, trace_ctx, hedge_sched[0], now
-                    )
+                    overload.record_hedge_wait(trace_ctx, hedge_sched[0], now)
                 hedge_net[0] = 2 * self.router.pair_latency_us(reader, region)
                 hedge_rpc = Rpc(
                     database_id=database_id,
@@ -625,13 +612,13 @@ class ServingCluster:
         start = self.kernel.now_us
         remaining = [listeners]
         root = None
-        if self.tracer:
-            root = self.tracer.start_span(
+        if self._probe_on:
+            root = self.probe.start_span(
                 "cluster.notify_fanout",
                 component="cluster",
                 attributes={"database_id": database_id, "listeners": listeners},
             )
-        trace_ctx = root.context if root is not None else None
+        trace_ctx = root.context if root else None
 
         def resolve_one() -> None:
             remaining[0] -= 1
@@ -647,7 +634,7 @@ class ServingCluster:
                     self.slo.record_latency(
                         "notify.staleness", self.kernel.now_us, elapsed
                     )
-                if root is not None:
+                if root:
                     root.end()
                 on_all_delivered(elapsed)
 
@@ -690,9 +677,8 @@ class ServingCluster:
             self.kernel,
             self._make_scheduler(fair=True),
             initial_tasks=tasks,
-            tracer=self.tracer,
             metrics=self.metrics,
-            profiler=self.profiler if self.profiler else None,
+            probe=self.probe,
         )
         self._isolated_pools[database_id] = pool
         if autoscale:
@@ -762,7 +748,7 @@ class ServingCluster:
         from repro.obs.export import render_text_report
 
         return render_text_report(
-            self.tracer, self.metrics, title, profiler=self.profiler or None
+            self.tracer, self.metrics, title, profiler=self.probe.profiler
         )
 
     def export_report(self, path: str, title: str = "cluster run") -> str:
@@ -770,5 +756,5 @@ class ServingCluster:
         from repro.obs.export import write_text_report
 
         return write_text_report(
-            path, self.tracer, self.metrics, title, profiler=self.profiler or None
+            path, self.tracer, self.metrics, title, profiler=self.probe.profiler
         )

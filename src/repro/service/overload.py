@@ -559,7 +559,7 @@ class OverloadState:
     __slots__ = (
         "config",
         "metrics",
-        "profiler",
+        "probe",
         "limiter",
         "read_latency",
         "hedges",
@@ -568,10 +568,10 @@ class OverloadState:
         "hedge_waste",
     )
 
-    def __init__(self, config: OverloadConfig, metrics=None, profiler=None):
+    def __init__(self, config: OverloadConfig, metrics=None, probe=None):
         self.config = config
         self.metrics = metrics
-        self.profiler = profiler
+        self.probe = probe
         self.limiter = AdaptiveLimit(config, metrics=metrics)
         self.read_latency = ReadLatencyTracker()
         self.hedges = HedgeThrottle(config.hedge_ratio, config.hedge_burst)
@@ -606,21 +606,17 @@ class OverloadState:
             self.metrics.counter(
                 "overload_hedges", outcome=outcome, database_id=database_id
             ).inc()
-        if self.profiler:
-            self.profiler.account(
-                "service", f"hedge.{outcome}", 0, database_id
-            )
+        if self.probe:
+            self.probe.account("service", f"hedge.{outcome}", 0, database_id)
 
-    def record_hedge_wait(
-        self, tracer, trace_ctx, armed_us: int, fired_us: int
-    ) -> None:
+    def record_hedge_wait(self, trace_ctx, armed_us: int, fired_us: int) -> None:
         """Annotate the time a request spent waiting on its primary
         before the backup read fired — the ``hedge_wait`` component of
         critical-path attribution (``repro.obs.critpath``). Called by the
         cluster at hedge-fire time; pure observation, no sim effects.
         """
-        tracer.record_wait(
-            trace_ctx, "hedge_wait", start_us=armed_us, end_us=fired_us
+        self.probe.wait(
+            "hedge_wait", start_us=armed_us, end_us=fired_us, context=trace_ctx
         )
 
     def retry_after_us(self) -> int:

@@ -39,32 +39,26 @@ class TaskPool:
         scheduler: Optional[FairShareScheduler] = None,
         initial_tasks: int = 4,
         speedup: float = 1.0,
-        tracer=None,
         metrics=None,
-        profiler=None,
+        probe=None,
     ):
         if initial_tasks < 1:
             raise ValueError("a pool needs at least one task")
-        from repro.obs.perf import NULL_PROFILER
-        from repro.obs.tracer import NULL_TRACER
+        from repro.obs.probe import NULL_PROBE
 
         self.name = name
         self.kernel = kernel
         self.scheduler = scheduler if scheduler is not None else FairShareScheduler()
         self.speedup = speedup
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.profiler = profiler if profiler is not None else NULL_PROFILER
-        # fast flags resolved once: the dispatch loop runs per event, and
-        # truthiness of the null singletons is a Python __bool__ call
-        # (callers may hand us the null singletons directly, so test
-        # truthiness here rather than identity against None)
-        self._profiler_on = bool(self.profiler)
-        self._tracer_on = bool(self.tracer)
-        # per-kind strings synthesized once: the dispatch loop must not
-        # run .name.lower() or build f-strings per RPC
-        self._profile_labels = {
-            kind: f"{name}.{kind.name.lower()}" for kind in RpcKind
+        self.probe = probe if probe is not None else NULL_PROBE
+        # resolved once: the dispatch loop runs per event, and truthiness
+        # of the null probe is a Python __bool__ call
+        self._probe_on = bool(self.probe)
+        # per-kind labels synthesized once: the dispatch loop must not
+        # run .name.lower() or build f-strings and tuples per RPC
+        self._perf_tags = {
+            kind: ("service", f"{name}.{kind.name.lower()}") for kind in RpcKind
         }
         self._kind_labels = {kind: kind.name.lower() for kind in RpcKind}
         self._exec_span_name = f"{name}.exec"
@@ -222,19 +216,13 @@ class TaskPool:
             task.busy_until_us = finish
             self._busy_us_accum += service_us
             self.busy_us_total += service_us
-            if self._profiler_on:
-                self.profiler.account(
-                    "service",
-                    self._profile_labels[rpc.kind],
-                    service_us,
-                    rpc.database_id,
-                )
-            if self._tracer_on and rpc.trace_ctx is not None:
-                self.tracer.start_span(
+            if self._probe_on:
+                # traced requests always carry their root's context
+                self.probe.start_span(
                     self._exec_span_name,
                     parent=rpc.trace_ctx,
                     component=self.name,
-                    # reprolint: disable=hot-loop-alloc -- span attributes are per-span values by nature; the tracer is off in perf runs
+                    # reprolint: disable=hot-loop-alloc -- span attributes are per-span values by nature; the probe is off in perf runs
                     attributes={
                         "database_id": rpc.database_id,
                         "kind": self._kind_labels[rpc.kind],
@@ -244,7 +232,10 @@ class TaskPool:
                         # inside an exec span is CPU service, not a gap
                         "self_cause": "service",
                     },
-                ).end(finish)
+                    end_us=finish,
+                    perf=self._perf_tags[rpc.kind],
+                    tenant=rpc.database_id,
+                )
             event = kernel.at(
                 finish, self._make_completion(task, rpc, finish)
             )
@@ -279,17 +270,17 @@ class TaskPool:
                 # known at schedule time: precompute it instead of
                 # re-reading the clock inside the deferred callback
                 fire_us = self.kernel.clock._now_us + storage_us
-                if self._tracer_on and rpc.trace_ctx is not None:
+                if self._probe_on:
                     # the gap until the deferred completion fires is the
                     # storage layer's latency — for commits that is the
                     # modeled Spanner quorum round trip
-                    self.tracer.record_wait(
-                        rpc.trace_ctx,
+                    self.probe.wait(
                         "quorum_rtt"
                         if rpc.kind is RpcKind.COMMIT
                         else "storage_read",
                         start_us=fire_us - storage_us,
                         end_us=fire_us,
+                        context=rpc.trace_ctx,
                     )
                 on_done = rpc.on_complete
                 if on_done is not None:

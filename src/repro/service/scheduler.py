@@ -44,9 +44,9 @@ class FairShareScheduler:
     __slots__ = (
         "fair",
         "metrics",
-        "profiler",
+        "probe",
+        "_probe_on",
         "slo",
-        "tracer",
         "clock",
         "_queues",
         "_queue_view",
@@ -57,17 +57,17 @@ class FairShareScheduler:
         "pending",
     )
 
-    def __init__(self, fair: bool = True, metrics=None, profiler=None, slo=None):
+    def __init__(self, fair: bool = True, metrics=None, probe=None, slo=None):
         self.fair = fair
         self.metrics = metrics
-        #: optional repro.obs.perf.Profiler (duck-typed, may stay None)
-        self.profiler = profiler
+        #: optional repro.obs.probe.Probe: queue waits are recorded at
+        #: dispatch as structured wait causes for critical-path
+        #: attribution, and each dispatch counts in the profiler ledger
+        self.probe = probe
+        self._probe_on = bool(probe)
         #: optional repro.obs.slo.SloEngine fed per-tenant CPU shares;
         #: needs a clock to timestamp them
         self.slo = slo
-        #: optional repro.obs.tracer.Tracer — queue waits are recorded at
-        #: dispatch as structured wait causes for critical-path attribution
-        self.tracer = None
         self.clock = None
         self._queues: dict[str, _DatabaseQueue] = {}
         # a dict view is live, so build it once: pick() iterates it per
@@ -151,12 +151,7 @@ class FairShareScheduler:
             self._global_virtual_us = floor
         self.dispatched += 1
         self.pending -= 1
-        if (
-            self.metrics is not None
-            or self.profiler is not None
-            or self.slo is not None
-            or self.tracer is not None
-        ):
+        if self.metrics is not None or self._probe_on or self.slo is not None:
             self._record_dispatch(rpc)
         return rpc
 
@@ -170,11 +165,20 @@ class FairShareScheduler:
             self.metrics.counter(
                 "scheduler_cpu_us", database_id=rpc.database_id
             ).inc(rpc.cpu_cost_us)
-        if self.profiler:
-            # zero sim-time: dispatch itself is free, the pool accounts the
-            # service time — this entry carries the per-tenant call count
-            self.profiler.account(
-                "service", "scheduler.dispatch", 0, rpc.database_id
+        if self._probe_on:
+            # the time from RPC arrival to this dispatch was queue wait —
+            # annotate it on the request's trace so the critical-path
+            # engine can blame the scheduler rather than leave a gap. Zero
+            # sim-time: dispatch itself is free, the pool accounts the
+            # service time; the ledger entry carries the per-tenant count
+            self.probe.wait(
+                "queue",
+                start_us=rpc.arrival_us,
+                end_us=self.probe.clock.now_us,
+                context=rpc.trace_ctx,
+                perf=("service", "scheduler.dispatch"),
+                tenant=rpc.database_id,
+                perf_us=0,
             )
         if self.slo and self.clock is not None:
             self.slo.record_share(
@@ -182,16 +186,6 @@ class FairShareScheduler:
                 self.clock.now_us,
                 rpc.database_id,
                 rpc.cpu_cost_us,
-            )
-        if self.tracer is not None and self.clock is not None:
-            # the time from RPC arrival to this dispatch was queue wait —
-            # annotate it on the request's trace so the critical-path
-            # engine can blame the scheduler rather than leave a gap
-            self.tracer.record_wait(
-                rpc.trace_ctx,
-                "queue",
-                start_us=rpc.arrival_us,
-                end_us=self.clock.now_us,
             )
 
     def queued(self, database_id: Optional[str] = None) -> int:

@@ -16,9 +16,7 @@ Mirrors the Spanner behaviour Firestore builds on (paper section IV-D1/2):
 Fault injection: the database's ``fault_plan`` (a ``repro.faults``
 FaultPlan, duck-typed) drives the failure matrix — definitive commit
 failure, unknown-outcome commits, lock-acquisition timeouts, unreachable
-or slow tablets, and splits racing the commit. The older one-shot
-``commit_fault_injector`` hook remains as a thin compat shim feeding the
-same code path.
+or slow tablets, and splits racing the commit.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from repro.errors import (
     LockConflict,
     Unavailable,
 )
-from repro.obs.perf import NULL_PROFILER
 from repro.spanner.locks import LockMode
 from repro.spanner.mvcc import TOMBSTONE
 
@@ -62,20 +59,6 @@ def _lock_abort(exc: LockConflict) -> Aborted:
     error = Aborted(str(exc))
     error.wait_cause = "lock_wait"
     return error
-
-
-class _DefinitiveCommitFailure(Exception):
-    """Raised by fault injectors to force a known-failed commit."""
-
-
-class _UnknownOutcomeFailure(Exception):
-    """Raised by fault injectors to force an unknown-outcome commit.
-
-    ``applied`` says whether the injector wants the mutations applied
-    anyway (commit actually succeeded but the ack was lost)."""
-
-    def __init__(self, applied: bool):
-        self.applied = applied
 
 
 class ReadWriteTransaction:
@@ -197,23 +180,16 @@ class ReadWriteTransaction:
                         1_000, 20_000
                     )
                 self._db.clock.advance(delay_us)
-                if self._db.profiler:
-                    # the stall is tablet time the transaction sat on
-                    self._db.profiler.account(
-                        "spanner", "read.tablet_slow", delay_us
-                    )
-                tracer = self._db.tracer
-                if tracer:
-                    span = tracer.current_span()
-                    if span is not None:
-                        # the stall elapsed on the clock inside whatever
-                        # span is open — an interval storage wait
-                        span.wait(
-                            "storage_read",
-                            start_us=self._db.clock.now_us - delay_us,
-                            end_us=self._db.clock.now_us,
-                            detail="tablet_slow",
-                        )
+                # the stall elapsed on the clock inside whatever span is
+                # open (an interval storage wait) and is tablet time the
+                # transaction sat on
+                self._db.probe.wait(
+                    "storage_read",
+                    start_us=self._db.clock.now_us - delay_us,
+                    end_us=self._db.clock.now_us,
+                    detail="tablet_slow",
+                    perf=("spanner", "read.tablet_slow"),
+                )
         tablet = self._db.tablet_for(ckey)
         tablet.stats.record_read(self._db.clock.now_us)
         ts, value = tablet.read_latest(ckey)
@@ -373,17 +349,14 @@ class ReadWriteTransaction:
 
         Raises :class:`Aborted` on lock conflict or an unsatisfiable
         timestamp window (definitive failures) and
-        :class:`CommitOutcomeUnknown` when a fault injector simulates a
+        :class:`CommitOutcomeUnknown` when the fault plan simulates a
         lost acknowledgement.
         """
         self._check_active()
-        tracer = self._db.tracer
-        # duck-typed like recorder/fault_plan: the sim-time the commit
-        # spends (fault delays advance the clock) lands in the profiler
-        # ledger under spanner/commit, even on the abort paths
-        profiler = self._db.profiler or NULL_PROFILER
-
-        with profiler.measure("spanner", "commit", self._db.clock):
+        probe = self._db.probe
+        # the sim-time the commit spends (fault delays advance the clock)
+        # lands under spanner/commit, even on the abort paths
+        with probe.measure("spanner", "commit"):
             # Phase 0: the replica group admits the commit — the leader
             # must be reachable with a live lease and a quorum up, else
             # Unavailable (clients retry with backoff, which advances the
@@ -397,7 +370,7 @@ class ReadWriteTransaction:
                     raise
 
             # Phase 1 (prepare): exclusive-lock every written row.
-            with tracer.span(
+            with probe.span(
                 "spanner.locks",
                 component="spanner",
                 attributes={"phase": "prepare", "rows": len(self._writes)},
@@ -413,7 +386,7 @@ class ReadWriteTransaction:
 
             self._inject_commit_faults(min_commit_ts, max_commit_ts)
 
-            with tracer.span(
+            with probe.span(
                 "spanner.2pc", component="spanner", attributes={"phase": "commit"}
             ) as span:
                 commit_ts = self._apply(min_commit_ts, max_commit_ts)
@@ -427,7 +400,7 @@ class ReadWriteTransaction:
                 )
                 span.set_attribute("participants", len(participants))
                 span.set_attribute("commit_ts", commit_ts)
-                if tracer:
+                if span:
                     # TrueTime commit-wait: the committer must sit out the
                     # clock uncertainty before acking. The functional stack
                     # prices it without elapsing it — a *modeled* wait for
@@ -453,30 +426,16 @@ class ReadWriteTransaction:
     def _inject_commit_faults(
         self, min_commit_ts: int, max_commit_ts: Optional[int]
     ) -> None:
-        """Fire any injected commit fault, from either source.
+        """Fire any commit fault the database's fault plan decides.
 
-        The legacy one-shot ``commit_fault_injector`` is consulted first
-        (and stays a supported compat shim); otherwise the database's
-        fault plan decides. Raises :class:`Aborted` for definitive
-        failures and :class:`CommitOutcomeUnknown` for lost
-        acknowledgements; returns normally when no fault fires.
+        Raises :class:`Aborted` for definitive failures and
+        :class:`CommitOutcomeUnknown` for lost acknowledgements; returns
+        normally when no fault fires.
         """
         db = self._db
-        cause: Optional[BaseException] = None
         outcome: Optional[tuple[str, bool]] = None
-        injector = db.commit_fault_injector
-        if injector is not None:
-            # one-shot: clear before firing so a failure path cannot leave
-            # the injector armed for an unrelated later commit
-            db.commit_fault_injector = None
-            try:
-                injector(self.txn_id)
-            except _DefinitiveCommitFailure as exc:
-                outcome, cause = ("fail", False), exc
-            except _UnknownOutcomeFailure as exc:
-                outcome, cause = ("unknown", exc.applied), exc
         plan = db.fault_plan
-        if outcome is None and plan is not None:
+        if plan is not None:
             if plan.decide("spanner.split_during_commit") is not None:
                 # a topology change mid-commit: the 2PC must tolerate the
                 # tablet holding its writes splitting under it
@@ -497,7 +456,7 @@ class ReadWriteTransaction:
         kind, applied = outcome
         if kind == "fail":
             self._abort()
-            raise Aborted("commit failed definitively (injected)") from cause
+            raise Aborted("commit failed definitively (injected)")
         # "unknown" is a *client-side* state: the server either committed
         # or aborted, and in both cases it releases the transaction's
         # locks — only the acknowledgement was lost
@@ -513,9 +472,7 @@ class ReadWriteTransaction:
         recorder = db.recorder
         if recorder is not None:
             recorder.txn_unknown(self.txn_id, applied)
-        raise CommitOutcomeUnknown(
-            "commit outcome unknown (injected)"
-        ) from cause
+        raise CommitOutcomeUnknown("commit outcome unknown (injected)")
 
     def _split_written_tablet(self) -> None:
         """Split the tablet holding the first buffered write at that key."""
@@ -575,12 +532,3 @@ class ReadWriteTransaction:
             )
         return commit_ts
 
-
-def inject_definitive_failure() -> None:
-    """Helper for tests: raise inside a commit_fault_injector."""
-    raise _DefinitiveCommitFailure()
-
-
-def inject_unknown_outcome(applied: bool) -> None:
-    """Helper for tests: raise inside a commit_fault_injector."""
-    raise _UnknownOutcomeFailure(applied)

@@ -11,7 +11,7 @@ class MobileClient:
         self._pending = []
 
     def push(self):
-        # flush was renamed; the REQUIRED_PERF_TAPS map was not updated
+        # flush was renamed; the REQUIRED_TAPS map was not updated
         count = len(self._pending)
         self._pending.clear()
         return count

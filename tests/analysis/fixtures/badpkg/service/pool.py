@@ -12,6 +12,6 @@ class TaskPool:
         self.busy_us_total = 0
 
     def _dispatch(self):
-        # service time accrues, but nothing feeds profiler.account(...)
+        # service time accrues, but nothing feeds probe.account(...)
         service_us = 10
         self.busy_us_total += service_us

@@ -26,7 +26,7 @@ class ReadWriteTransaction:
             recorder.txn_scan(self.txn_id, b"", None)
 
     def commit(self):
-        # the rewrite forgot the profiler.measure("spanner", "commit") tag
+        # the rewrite forgot the probe.measure("spanner", "commit") tag
         self._apply(0)
 
     def _inject_commit_faults(self, min_commit_ts, max_commit_ts):

@@ -2,16 +2,16 @@
 
 
 class TaskPool:
-    def __init__(self, kernel, profiler=None):
+    def __init__(self, kernel, probe=None):
         self.kernel = kernel
-        self.profiler = profiler
+        self.probe = probe
         self.busy_us_total = 0
 
     def _dispatch(self):
         service_us = 10
         self.busy_us_total += service_us
-        if self.profiler:
-            self.profiler.account("service", "pool.dispatch", service_us)
+        if self.probe:
+            self.probe.account("service", "pool.dispatch", service_us)
 
     def _make_completion(self, span, queued_from):
         # keeps the structured wait tap the critical-path engine needs

@@ -11,10 +11,6 @@ from repro.core.backend import set_op
 from repro.core.firestore import FirestoreService
 from repro.errors import Aborted, DeadlineExceeded, Unavailable
 from repro.faults.plan import FaultPlan
-from repro.spanner.transaction import (
-    inject_definitive_failure,
-    inject_unknown_outcome,
-)
 
 
 @pytest.fixture()
@@ -103,26 +99,3 @@ def test_split_during_commit_grows_topology_and_still_commits(db):
     report = db.validate()
     assert report.is_clean, report.summary()
 
-
-def test_legacy_injector_takes_precedence_over_the_plan(db):
-    spanner = spanner_of(db)
-    spanner.commit_fault_injector = lambda txn_id: inject_definitive_failure()
-    db.fault_plan.arm("spanner.commit_unknown", applied=True)
-    with pytest.raises(Aborted):
-        db.commit([set_op("docs/a", {"n": 1})])
-    # the legacy one-shot fired and cleared; the armed plan fault is
-    # still queued for the next commit
-    assert spanner.commit_fault_injector is None
-    assert db.fault_plan.armed("spanner.commit_unknown") == 1
-    with pytest.raises(DeadlineExceeded):
-        db.commit([set_op("docs/a", {"n": 1})])
-
-
-def test_legacy_unknown_injector_maps_to_the_same_path(db):
-    spanner = spanner_of(db)
-    spanner.commit_fault_injector = (
-        lambda txn_id: inject_unknown_outcome(applied=True)
-    )
-    with pytest.raises(DeadlineExceeded, match="may or may not"):
-        db.commit([set_op("docs/a", {"n": 5})])
-    assert db.lookup("docs/a").data == {"n": 5}

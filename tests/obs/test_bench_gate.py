@@ -95,6 +95,33 @@ def test_failed_slo_in_fresh_run_is_a_regression():
     assert "request.availability" in str(regression)
 
 
+def test_profile_ledger_rows_must_match_exactly():
+    from repro.obs.perf import Profiler
+
+    def with_profile(*rows):
+        profiler = Profiler()
+        for subsystem, operation, sim_us in rows:
+            profiler.account(subsystem, operation, sim_us, "db")
+        return bench_payload(name="cell", raw={"profile": profiler.to_dict()})
+
+    baseline = with_profile(("core", "commit", 0), ("spanner", "commit", 5))
+    assert compare_bench(baseline, baseline) == []
+    drifted = with_profile(
+        ("core", "commit", 0),
+        ("core", "commit", 0),  # one more call, same sim time
+        ("spanner", "commit", 5),
+        ("replication", "quorum.ack", 12),  # a row the baseline lacks
+    )
+    regressions = compare_bench(drifted, baseline)
+    assert {r.metric: (r.baseline, r.value) for r in regressions} == {
+        "profile:core/commit@db": ((1, 0), (2, 0)),
+        "profile:replication/quorum.ack@db": (None, (1, 12)),
+    }
+    assert all(r.kind == "profile" for r in regressions)
+    # a cell whose baseline carries no profile is not judged on one
+    assert compare_bench(drifted, bench_payload(name="cell")) == []
+
+
 def test_compare_suites_catches_missing_runs():
     baseline = {"a": _payload(), "b": _payload()}
     regressions = compare_suites({"a": _payload()}, baseline)

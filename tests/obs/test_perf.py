@@ -8,12 +8,8 @@ identical inputs — plus the coverage guarantee the gate checks.
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.perf import (
-    NULL_PROFILER,
-    Profiler,
-    collapse_spans,
-    flamegraph_svg,
-)
+from repro.obs.perf import Profiler, collapse_spans, flamegraph_svg
+from repro.obs.probe import NULL_PROBE, Probe
 from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
 from repro.sim.rand import SimRandom
@@ -47,9 +43,10 @@ def test_negative_busy_time_rejected():
 def test_measure_accounts_clock_delta():
     clock = SimClock()
     profiler = Profiler()
-    with profiler.measure("spanner", "commit", clock, "db1"):
+    probe = Probe(clock, profiler=profiler)
+    with probe.measure("spanner", "commit", "db1"):
         clock.advance(1234)
-    with profiler.measure("spanner", "commit", clock, "db1"):
+    with probe.measure("spanner", "commit", "db1"):
         pass  # zero-delta blocks still count a call
     (row,) = profiler.rows()
     assert row["sim_us"] == 1234
@@ -100,14 +97,16 @@ def test_per_tenant_metrics_surface_only_attributed_work():
     }
 
 
-def test_null_profiler_is_falsy_and_inert():
-    assert not NULL_PROFILER
-    NULL_PROFILER.account("service", "op", 10)
-    clock = SimClock()
-    with NULL_PROFILER.measure("service", "op", clock):
-        clock.advance(5)
-    # nothing recorded anywhere; Profiler() by contrast is truthy
-    assert Profiler()
+def test_null_probe_is_falsy_and_inert():
+    assert not NULL_PROBE
+    NULL_PROBE.account("service", "op", 10)
+    NULL_PROBE.wait("queue", start_us=0, end_us=5, perf=("service", "op"))
+    with NULL_PROBE.measure("service", "op") as span:
+        assert not span
+    with NULL_PROBE.span("x", perf=("service", "op")) as span:
+        assert not span
+    # nothing recorded anywhere; a probe with an observer is truthy
+    assert Probe(SimClock(), profiler=Profiler())
 
 
 def test_text_table_lists_share_percentages():
